@@ -152,9 +152,7 @@ func BenchmarkOptimizeAll(b *testing.B) {
 	img := s.AppImage()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := core.Optimize(img.Prog, prof, core.Options{
-			Chain: true, Split: core.SplitFine, Order: core.OrderPettisHansen,
-		}); err != nil {
+		if _, _, err := codelayout.Optimize(img.Prog, prof, "all"); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -284,9 +282,7 @@ func BenchmarkCrossWorkloadOptimize(b *testing.B) {
 				if _, err := m.Run(); err != nil {
 					b.Fatal(err)
 				}
-				optL, _, err := core.Optimize(img.Prog, px.Profile, core.Options{
-					Chain: true, Split: core.SplitFine, Order: core.OrderPettisHansen,
-				})
+				optL, _, err := codelayout.Optimize(img.Prog, px.Profile, "all")
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -701,9 +697,7 @@ func BenchmarkContinuousPGO(b *testing.B) {
 			b.Fatal(err)
 		}
 		optimize := func(pf *profile.Profile) (*program.Layout, error) {
-			l, _, err := core.Optimize(app.Prog, pf, core.Options{
-				Chain: true, Split: core.SplitFine, Order: core.OrderPettisHansen,
-			})
+			l, _, err := codelayout.Optimize(app.Prog, pf, "all")
 			return l, err
 		}
 		px := profile.NewPixie(app.Prog, "train")

@@ -44,7 +44,11 @@ func main() {
 	var all trace.Tee
 	for _, s := range sizes {
 		for _, l := range lines {
-			p := newPerCPU(cache.Config{SizeBytes: s << 10, LineBytes: l, Assoc: *assoc})
+			cfg := cache.Config{SizeBytes: s << 10, LineBytes: l, Assoc: *assoc}
+			if err := cfg.Validate(); err != nil {
+				fatal(err)
+			}
+			p := newPerCPU(cfg)
 			sims[key{s, l}] = p
 			all = append(all, p)
 		}

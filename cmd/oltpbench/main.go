@@ -4,8 +4,8 @@
 //
 // With -opt it first trains in-process — profiling a (possibly different)
 // workload at a (possibly different) shard count under the baseline layout,
-// then optimizing with the named combo — and evaluates the resulting
-// layout, so profile-transplant runs work standalone:
+// then optimizing with the named combo or pipeline spec — and evaluates the
+// resulting layout, so profile-transplant runs work standalone:
 //
 //	oltpbench -workload tpcb -txns 500 -cpus 4 -layout app.layout -trace run.trace
 //	oltpbench -workload ordere -quick
@@ -64,14 +64,14 @@ func main() {
 		hotFrac   = flag.Float64("hotfrac", 0, "tpcb: hot-account fraction in [0, 1); 0 = uniform")
 		quick     = flag.Bool("quick", false, "use the workload's quick scale")
 		layoutIn  = flag.String("layout", "", "optimized layout file (from spike); default baseline")
-		optCombo  = flag.String("opt", "", "train in-process and optimize with this combo (e.g. all, ipchain, fusion) before measuring")
+		optCombo  = flag.String("opt", "", "train in-process and optimize with this combo (e.g. all, ipchain, fusion) or pipeline spec before measuring")
 		stall     = flag.Uint64("stall", 0, "instruction-times of stall charged per L1 icache miss on the fetch clock (0 = pure fetch-bandwidth clock)")
 		trainWl   = flag.String("train-workload", "", "workload to profile when -opt is set (default: the evaluated workload)")
 		trainSh   = flag.Int("train-shards", 0, "shard count of the -opt training run (default: -shards)")
 		trainTxns = flag.Int("train-txns", 2000, "profiled transactions of the -opt training run")
 		tracePath = flag.String("trace", "", "write the measured trace to this file")
 		storeDir  = flag.String("profile-store", "", "directory of the persistent profile store; an -opt training already in the store is loaded instead of re-run")
-		reoptN    = flag.Int("reopt", 0, "re-optimize the app layout online every N committed transactions when the kind mix drifts from the training mix (needs -opt; not fusion)")
+		reoptN    = flag.Int("reopt", 0, "re-optimize the app layout online every N committed transactions when the kind mix drifts from the training mix (needs -opt; not a fusing pipeline)")
 		driftT    = flag.Float64("drift", 0, "L1 kind-mix distance past which -reopt retrains (0 selects the default threshold)")
 	)
 	flag.Parse()
@@ -82,7 +82,14 @@ func main() {
 	if *reoptN > 0 && *optCombo == "" {
 		fatal(fmt.Errorf("-reopt needs -opt: online re-optimization retrains with the same combo pipeline"))
 	}
-	if *reoptN > 0 && *optCombo == "fusion" {
+	var optPl core.Pipeline
+	if *optCombo != "" {
+		var err error
+		if optPl, err = core.Resolve(*optCombo); err != nil {
+			fatal(err)
+		}
+	}
+	if *reoptN > 0 && optPl.Fuses() {
 		fatal(fmt.Errorf("-reopt cannot hot-swap fused layouts: fusion grows the program image, which is fixed once the run starts"))
 	}
 	if *gcAuto && *gcP99 {
@@ -245,43 +252,22 @@ func main() {
 			fmt.Printf("trained on:       %d %s txns at %d shard(s)\n",
 				tres.Committed, train.Name(), trainShards)
 		}
-		pl, err := core.ComboPipeline(*optCombo)
+		// A fusing pipeline runs over a specialized copy of the image; the
+		// grown image is what the measurement runs.
+		var rep *core.Report
+		appL, rep, app, err = appmodel.BuildLayout(app, optPl, prof, wl, train)
 		if err != nil {
 			fatal(err)
 		}
-		if *optCombo == "fusion" {
-			// Fusion clones procedures, so it runs over a specialized copy
-			// of the image; the grown image is what the measurement runs.
-			simg := app.Specialize()
-			roots, err := appmodel.FusionRoots(simg, wl, train)
-			if err != nil {
-				fatal(err)
-			}
-			if len(roots) == 0 {
-				fatal(fmt.Errorf("-opt fusion: workload %q declares no transaction-kind roots", wl.Name()))
-			}
-			var rep *core.Report
-			appL, rep, err = pl.RunFused(simg.Prog, prof, roots, simg)
-			if err != nil {
-				fatal(err)
-			}
-			if appL.TotalBytes() > isa.AppTextLimitBytes {
-				fatal(fmt.Errorf("fused layout is %d bytes, past the %d-byte app text map", appL.TotalBytes(), isa.AppTextLimitBytes))
-			}
-			app = simg
+		if optPl.Fuses() {
 			fmt.Printf("fused:            %d transaction kinds, %d procedures cloned (%.1f KB growth)\n",
 				rep.FusedKinds, rep.ClonedProcs, float64(rep.CloneWords*isa.WordBytes)/1024)
-		} else {
-			appL, _, err = pl.Run(app.Prog, prof)
-			if err != nil {
-				fatal(err)
-			}
-			reoptFn = func(pf *profile.Profile) (*program.Layout, error) {
-				l, _, err := pl.Run(app.Prog, pf)
-				return l, err
-			}
 		}
-		fmt.Printf("optimized with:   %q (%s)\n", *optCombo, pl.String())
+		reoptFn = func(pf *profile.Profile) (*program.Layout, error) {
+			l, _, _, err := appmodel.BuildLayout(app, optPl, pf)
+			return l, err
+		}
+		fmt.Printf("optimized with:   %q (%s)\n", *optCombo, optPl)
 	}
 
 	ic := cache.New(cache.Config{SizeBytes: 64 << 10, LineBytes: 128, Assoc: 4})

@@ -2,11 +2,11 @@
 // profile, like the Spike executable optimizer: basic block chaining,
 // fine-grain procedure splitting, and Pettis–Hansen procedure ordering.
 //
-// The optimizer is a pass pipeline; a combo name resolves to a pass list,
-// and -passes runs an arbitrary pipeline spec instead:
+// The optimizer is a pass pipeline; -combo takes a combo name, which
+// resolves to its pass list, or an arbitrary pipeline spec:
 //
 //	spike -prog images/app.prog -profile oltp.prof -combo all -out app.layout
-//	spike -prog images/app.prog -profile oltp.prof -passes chain,split:fine,porder:ph
+//	spike -prog images/app.prog -profile oltp.prof -combo chain,split:fine,porder:ph
 //	spike -list-passes
 //
 // Standalone txfuse runs derive transaction roots from the profile's call
@@ -30,8 +30,7 @@ func main() {
 	var (
 		progPath = flag.String("prog", "", "program file (from oltpgen)")
 		profPath = flag.String("profile", "", "profile file (from pixie)")
-		combo    = flag.String("combo", "all", "optimization combo: base|porder|chain|chain+split|chain+porder|all|hotcold|cfa|ipchain|fusion")
-		passes   = flag.String("passes", "", "comma-separated pass pipeline (overrides -combo), e.g. chain,split:fine,porder:ph")
+		combo    = flag.String("combo", "all", "combo name (base|porder|chain|chain+split|chain+porder|all|hotcold|cfa|ipchain|fusion) or comma-separated pass pipeline, e.g. chain,split:fine,porder:ph (see -list-passes)")
 		list     = flag.Bool("list-passes", false, "list the registered passes with their descriptions and exit")
 		out      = flag.String("out", "", "layout output file (optional)")
 		dump     = flag.Bool("dump", false, "dump the laid-out program (small programs only)")
@@ -56,19 +55,10 @@ func main() {
 	}
 
 	name := *combo
-	var pl core.Pipeline
-	if *passes != "" {
-		name = "custom"
-		pl, err = core.ParsePipeline(*passes)
-		if err != nil {
-			// The core error already lists the registered passes.
-			fatal(fmt.Errorf("bad -passes spec %q: %w", *passes, err))
-		}
-	} else {
-		pl, err = core.ComboPipeline(name)
-		if err != nil {
-			fatal(err)
-		}
+	// The core error lists the combos and the registered passes.
+	pl, err := core.Resolve(name)
+	if err != nil {
+		fatal(err)
 	}
 
 	base, err := program.BaselineLayout(p)

@@ -14,7 +14,7 @@
 //	img, _ := codelayout.BuildOLTPImage(codelayout.DefaultImageConfig(1))
 //	base, _ := codelayout.BaselineLayout(img.Prog)
 //	... run a profiling workload ...
-//	opt, rep, _ := codelayout.Optimize(img.Prog, prof, codelayout.OptAll())
+//	opt, rep, _ := codelayout.Optimize(img.Prog, prof, "all")
 //
 // See examples/ for complete programs and cmd/layoutlab for the experiment
 // harness.
@@ -63,14 +63,8 @@ type (
 
 // Optimizer surface.
 type (
-	// OptimizeOptions selects the optimization combination.
-	OptimizeOptions = core.Options
 	// OptimizeReport summarizes what the optimizer did.
 	OptimizeReport = core.Report
-	// SplitMode selects procedure splitting (none, fine-grain, hot/cold).
-	SplitMode = core.SplitMode
-	// OrderMode selects procedure ordering (original or Pettis–Hansen).
-	OrderMode = core.OrderMode
 	// Pass is one stage of a layout pipeline.
 	Pass = core.Pass
 	// PassFactory builds a pass from its spec argument.
@@ -83,29 +77,21 @@ type (
 	Unit = core.Unit
 )
 
-// Splitting and ordering modes.
-const (
-	SplitNone         = core.SplitNone
-	SplitFine         = core.SplitFine
-	SplitHotCold      = core.SplitHotCold
-	OrderOriginal     = core.OrderOriginal
-	OrderPettisHansen = core.OrderPettisHansen
-)
-
-// Optimize lays out the program under the given options using the profile,
-// exactly as Spike does: chaining, splitting, then ordering.
-func Optimize(p *Program, prof *Profile, o OptimizeOptions) (*Layout, *OptimizeReport, error) {
-	return core.Optimize(p, prof, o)
+// Optimize lays out the program using the profile, exactly as Spike does,
+// with a combo name (see Combos; "all" is the paper's chain + fine-grain
+// split + Pettis–Hansen combination) or a raw pipeline spec such as
+// "chain,split:fine,porder:ph".
+func Optimize(p *Program, prof *Profile, layout string) (*Layout, *OptimizeReport, error) {
+	pl, err := core.Resolve(layout)
+	if err != nil {
+		return nil, nil, err
+	}
+	return pl.Run(p, prof)
 }
 
-// OptAll returns the paper's full optimization combination
-// (chain + fine-grain split + Pettis–Hansen ordering).
-func OptAll() OptimizeOptions {
-	return OptimizeOptions{Chain: true, Split: core.SplitFine, Order: core.OrderPettisHansen}
-}
-
-// Combos returns the paper's six optimization combinations in order
-// (base, porder, chain, chain+split, chain+porder, all).
+// Combos returns the named layouts with their canonical pipeline specs, in
+// order: the paper's six combinations (base, porder, chain, chain+split,
+// chain+porder, all), then hotcold, cfa, ipchain and fusion.
 func Combos() []core.Combo { return core.Combos() }
 
 // RegisterPass adds a custom layout pass to the pipeline registry under the
@@ -133,13 +119,6 @@ func PassDocs() []PassDoc { return core.PassDocs() }
 // "chain,split:fine,porder:ph" into a runnable pipeline (materialization
 // runs implicitly if the spec does not end in a materializing pass).
 func ParsePipeline(spec string) (Pipeline, error) { return core.ParsePipeline(spec) }
-
-// PipelineFor assembles the pass pipeline implementing the given options.
-func PipelineFor(o OptimizeOptions) (Pipeline, error) { return core.PipelineFor(o) }
-
-// ComboPipeline resolves a combo name (the paper's six plus "hotcold",
-// "cfa", "ipchain" and "fusion") to its pass pipeline.
-func ComboPipeline(name string) (Pipeline, error) { return core.ComboPipeline(name) }
 
 // TxFuseSpec is the pipeline spec of the "fusion" combo: per-transaction-kind
 // program fusion (the txfuse pass) between chaining and Pettis–Hansen
@@ -323,12 +302,6 @@ func NewSessionFrom(src *ProfileSource, o SessionOptions) (*Session, error) {
 // profile-drift cost of reusing stale layouts.
 func Robustness(o SessionOptions, spec RobustnessSpec) (*RobustnessResult, error) {
 	return expt.Robustness(o, spec)
-}
-
-// ShardSweep sweeps the shard count over o's workload, self-training at
-// each count, and reports throughput, blocked-on-log time and miss ratios.
-func ShardSweep(o SessionOptions, shardCounts []int, layouts []string) (*Table, error) {
-	return expt.ShardSweep(o, shardCounts, layouts)
 }
 
 // ShardSweepTable is the configurable shard sweep: an explicit shard list

@@ -12,7 +12,7 @@ func TestFacadeOptimizePipeline(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
 	p := progtest.RandProgram(r, 8)
 	pf := progtest.RandProfile(r, p, 20, 300)
-	l, rep, err := codelayout.Optimize(p, pf, codelayout.OptAll())
+	l, rep, err := codelayout.Optimize(p, pf, "all")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,8 +39,8 @@ func TestFacadePassPipeline(t *testing.T) {
 	if err := l.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	// The same pipeline through the Options wrapper is identical.
-	want, _, err := codelayout.Optimize(p, pf, codelayout.OptAll())
+	// The same pipeline through its combo name is identical.
+	want, _, err := codelayout.Optimize(p, pf, "all")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,8 +52,11 @@ func TestFacadePassPipeline(t *testing.T) {
 	if rep.Units == 0 {
 		t.Fatal("empty report")
 	}
-	if _, err := codelayout.ComboPipeline("ipchain"); err != nil {
+	if _, _, err := codelayout.Optimize(p, pf, "ipchain"); err != nil {
 		t.Fatal(err)
+	}
+	if _, _, err := codelayout.Optimize(p, pf, "nope"); err == nil {
+		t.Fatal("expected error for an unknown combo")
 	}
 	names := codelayout.RegisteredPasses()
 	if len(names) < 7 {
@@ -138,7 +141,7 @@ func TestFacadeMachineRun(t *testing.T) {
 		t.Fatalf("committed=%d profileBlocks=%d", res.Committed, px.Profile.TotalBlocks())
 	}
 	// The collected profile should drive a working optimization.
-	opt, _, err := codelayout.Optimize(img.Prog, px.Profile, codelayout.OptAll())
+	opt, _, err := codelayout.Optimize(img.Prog, px.Profile, "all")
 	if err != nil {
 		t.Fatal(err)
 	}

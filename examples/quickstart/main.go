@@ -62,7 +62,7 @@ func main() {
 	}
 
 	// Optimize with the full pipeline.
-	opt, rep, err := codelayout.Optimize(img.Prog, px.Profile, codelayout.OptAll())
+	opt, rep, err := codelayout.Optimize(img.Prog, px.Profile, "all")
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -88,7 +88,7 @@ func main() {
 		em.RunAuto("serve_request")
 	}
 
-	opt, _, err := codelayout.Optimize(img.Prog, px.Profile, codelayout.OptAll())
+	opt, _, err := codelayout.Optimize(img.Prog, px.Profile, "all")
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -48,6 +48,27 @@ type Config struct {
 	WordStats bool
 }
 
+// Validate reports whether the geometry can be simulated: positive size,
+// line and associativity, a power-of-two line of at least one instruction
+// word, and a size that divides
+// into a power-of-two number of sets of assoc lines each.
+func (c Config) Validate() error {
+	if c.SizeBytes <= 0 || c.LineBytes <= 0 || c.Assoc <= 0 {
+		return fmt.Errorf("cache: size %d, line %d and associativity %d must all be positive",
+			c.SizeBytes, c.LineBytes, c.Assoc)
+	}
+	if c.LineBytes&(c.LineBytes-1) != 0 || c.LineBytes < isa.WordBytes {
+		return fmt.Errorf("cache: line size %d is not a power of two of at least one %d-byte word", c.LineBytes, isa.WordBytes)
+	}
+	if c.SizeBytes%(c.LineBytes*c.Assoc) != 0 {
+		return fmt.Errorf("cache: size %d not divisible by line*assoc (%d*%d)", c.SizeBytes, c.LineBytes, c.Assoc)
+	}
+	if sets := c.SizeBytes / (c.LineBytes * c.Assoc); sets&(sets-1) != 0 {
+		return fmt.Errorf("cache: set count %d not a power of two", sets)
+	}
+	return nil
+}
+
 // String renders the config like the paper's captions, e.g.
 // "128KB/128B/4-way".
 func (c Config) String() string {
@@ -149,21 +170,13 @@ type ICache struct {
 	stats *Stats
 }
 
-// New creates an instruction cache simulator.
+// New creates an instruction cache simulator. It panics on a geometry
+// Validate rejects; check user-supplied configs with Validate first.
 func New(cfg Config) *ICache {
-	if cfg.SizeBytes <= 0 || cfg.LineBytes <= 0 || cfg.Assoc <= 0 {
-		panic("cache: bad config")
-	}
-	if cfg.SizeBytes%(cfg.LineBytes*cfg.Assoc) != 0 {
-		panic(fmt.Sprintf("cache: size %d not divisible by line*assoc", cfg.SizeBytes))
+	if err := cfg.Validate(); err != nil {
+		panic(err)
 	}
 	numSets := cfg.SizeBytes / (cfg.LineBytes * cfg.Assoc)
-	if numSets&(numSets-1) != 0 {
-		panic(fmt.Sprintf("cache: set count %d not a power of two", numSets))
-	}
-	if cfg.LineBytes&(cfg.LineBytes-1) != 0 {
-		panic("cache: line size not a power of two")
-	}
 	c := &ICache{
 		cfg:       cfg,
 		lineShift: uint(bits.TrailingZeros(uint(cfg.LineBytes))),

@@ -234,3 +234,21 @@ func TestFullyUsedLineCounts(t *testing.T) {
 		t.Fatalf("fully-used lines = %d", full)
 	}
 }
+
+func TestConfigValidate(t *testing.T) {
+	for _, tc := range []struct {
+		cfg cache.Config
+		ok  bool
+	}{
+		{cache.Config{SizeBytes: 64 << 10, LineBytes: 128, Assoc: 3}, false}, // 3-way 64KB: sets do not divide
+		{cache.Config{SizeBytes: 64 << 10, LineBytes: 96, Assoc: 1}, false},  // non-power-of-two line
+		{cache.Config{SizeBytes: 0, LineBytes: 128, Assoc: 4}, false},        // zero size
+		{cache.Config{SizeBytes: 96 << 10, LineBytes: 128, Assoc: 1}, false}, // 768 sets
+		{cache.Config{SizeBytes: 64 << 10, LineBytes: 2, Assoc: 1}, false},   // line below one word
+		{cache.Config{SizeBytes: 48 << 10, LineBytes: 64, Assoc: 3}, true},   // 256 sets of 3 ways
+	} {
+		if err := tc.cfg.Validate(); (err == nil) != tc.ok {
+			t.Errorf("%+v: Validate() = %v, want ok=%v", tc.cfg, err, tc.ok)
+		}
+	}
+}

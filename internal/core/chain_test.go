@@ -180,7 +180,7 @@ func TestChainImprovesFallthrough(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt, _, err := core.Optimize(p, pf, core.Options{Chain: true})
+	opt, _, err := run("chain", p, pf)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,10 +12,19 @@ import (
 	"codelayout/internal/progtest"
 )
 
+// legacyOptions is the option set the pre-pipeline optimizer took.
+type legacyOptions struct {
+	Chain      bool
+	Split      SplitMode
+	Order      OrderMode
+	AlignWords int
+	CFA        *CFAOptions
+}
+
 // legacyOptimize is a verbatim copy of the monolithic pre-pipeline Optimize.
 // It is the golden reference: the pass-based path must reproduce its output
 // bit for bit on every combination the paper measures.
-func legacyOptimize(p *program.Program, pf *profile.Profile, o Options) (*program.Layout, *Report, error) {
+func legacyOptimize(p *program.Program, pf *profile.Profile, o legacyOptions) (*program.Layout, *Report, error) {
 	pf.EnsureEdges(p)
 	rep := &Report{}
 
@@ -114,17 +123,32 @@ func legacyOptimize(p *program.Program, pf *profile.Profile, o Options) (*progra
 	return l, rep, nil
 }
 
+// goldenVariant pairs a legacy option set with the combo name or pipeline
+// spec that must reproduce it.
+type goldenVariant struct {
+	layout string
+	opts   legacyOptions
+}
+
 // goldenVariants are the layouts whose pipeline output must be identical to
 // the legacy path: the paper's six combos plus the hotcold and cfa
-// extensions the experiment harness builds through the same options struct.
-func goldenVariants() []Combo {
-	out := append([]Combo(nil), Combos()...)
-	out = append(out,
-		Combo{"hotcold", Options{Chain: true, Split: SplitHotCold, Order: OrderPettisHansen}},
-		Combo{"cfa", Options{Chain: true, Split: SplitFine, Order: OrderPettisHansen,
+// extensions, each resolved through the combo table, and the cfa pass at a
+// geometry small enough to reserve sets in the random programs.
+func goldenVariants() []goldenVariant {
+	return []goldenVariant{
+		{"base", legacyOptions{}},
+		{"porder", legacyOptions{Order: OrderPettisHansen}},
+		{"chain", legacyOptions{Chain: true}},
+		{"chain+split", legacyOptions{Chain: true, Split: SplitFine}},
+		{"chain+porder", legacyOptions{Chain: true, Order: OrderPettisHansen}},
+		{"all", legacyOptions{Chain: true, Split: SplitFine, Order: OrderPettisHansen}},
+		{"hotcold", legacyOptions{Chain: true, Split: SplitHotCold, Order: OrderPettisHansen}},
+		{"cfa", legacyOptions{Chain: true, Split: SplitFine, Order: OrderPettisHansen,
+			CFA: &CFAOptions{CacheBytes: 64 << 10, ReservedBytes: 16 << 10}}},
+		{"chain,split:fine,porder:ph,cfa:4096/1024,materialize", legacyOptions{
+			Chain: true, Split: SplitFine, Order: OrderPettisHansen,
 			CFA: &CFAOptions{CacheBytes: 4096, ReservedBytes: 1024}}},
-	)
-	return out
+	}
 }
 
 func TestPipelineMatchesLegacyOptimize(t *testing.T) {
@@ -133,31 +157,35 @@ func TestPipelineMatchesLegacyOptimize(t *testing.T) {
 		p := progtest.RandProgram(r, 1+r.Intn(9))
 		pf := progtest.RandProfile(r, p, 5+r.Intn(25), 400)
 		for _, c := range goldenVariants() {
-			want, wantRep, err := legacyOptimize(p, pf, c.Opts)
+			want, wantRep, err := legacyOptimize(p, pf, c.opts)
 			if err != nil {
-				t.Fatalf("seed %d %s: legacy: %v", seed, c.Name, err)
+				t.Fatalf("seed %d %s: legacy: %v", seed, c.layout, err)
 			}
-			got, gotRep, err := Optimize(p, pf, c.Opts)
+			pl, err := Resolve(c.layout)
 			if err != nil {
-				t.Fatalf("seed %d %s: pipeline: %v", seed, c.Name, err)
+				t.Fatalf("seed %d %s: %v", seed, c.layout, err)
+			}
+			got, gotRep, err := pl.Run(p, pf)
+			if err != nil {
+				t.Fatalf("seed %d %s: pipeline: %v", seed, c.layout, err)
 			}
 			if !reflect.DeepEqual(got.Order, want.Order) {
-				t.Fatalf("seed %d %s: block order diverged", seed, c.Name)
+				t.Fatalf("seed %d %s: block order diverged", seed, c.layout)
 			}
 			if !reflect.DeepEqual(got.Addr, want.Addr) {
-				t.Fatalf("seed %d %s: addresses diverged", seed, c.Name)
+				t.Fatalf("seed %d %s: addresses diverged", seed, c.layout)
 			}
 			if !reflect.DeepEqual(got.Occ, want.Occ) {
-				t.Fatalf("seed %d %s: occupancies diverged", seed, c.Name)
+				t.Fatalf("seed %d %s: occupancies diverged", seed, c.layout)
 			}
 			if got.PadWords != want.PadWords {
-				t.Fatalf("seed %d %s: pad words %d != %d", seed, c.Name, got.PadWords, want.PadWords)
+				t.Fatalf("seed %d %s: pad words %d != %d", seed, c.layout, got.PadWords, want.PadWords)
 			}
 			if got.LongBranches != want.LongBranches {
-				t.Fatalf("seed %d %s: long branches %d != %d", seed, c.Name, got.LongBranches, want.LongBranches)
+				t.Fatalf("seed %d %s: long branches %d != %d", seed, c.layout, got.LongBranches, want.LongBranches)
 			}
 			if !reflect.DeepEqual(gotRep, wantRep) {
-				t.Fatalf("seed %d %s: report %+v != %+v", seed, c.Name, *gotRep, *wantRep)
+				t.Fatalf("seed %d %s: report %+v != %+v", seed, c.layout, *gotRep, *wantRep)
 			}
 		}
 	}

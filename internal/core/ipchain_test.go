@@ -128,7 +128,7 @@ func TestIPChainChangesHotUnitAdjacency(t *testing.T) {
 		return l.Addr[fEntry] == l.End(mainTail)
 	}
 
-	phPl, err := core.ComboPipeline("chain+porder")
+	phPl, err := core.Resolve("chain+porder")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +136,7 @@ func TestIPChainChangesHotUnitAdjacency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ipPl, err := core.ComboPipeline("ipchain")
+	ipPl, err := core.Resolve("ipchain")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +163,7 @@ func TestIPChainChangesHotUnitAdjacency(t *testing.T) {
 // TestIPChainValidOnRandomPrograms checks structural safety over arbitrary
 // CFGs: every block placed once, layouts validate.
 func TestIPChainValidOnRandomPrograms(t *testing.T) {
-	pl, err := core.ComboPipeline("ipchain")
+	pl, err := core.Resolve("ipchain")
 	if err != nil {
 		t.Fatal(err)
 	}

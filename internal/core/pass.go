@@ -294,10 +294,21 @@ func (pl Pipeline) String() string {
 	return strings.Join(names, ",")
 }
 
+// Fuses reports whether the pipeline runs txfuse, whose layouts clone
+// procedures and therefore need a specialized image to run over.
+func (pl Pipeline) Fuses() bool {
+	for _, p := range pl {
+		if _, ok := p.(txfusePass); ok {
+			return true
+		}
+	}
+	return false
+}
+
 // Run executes the pipeline over the program and profile and returns the
 // materialized layout and report. A materialize pass is run implicitly if
 // the pipeline ends without one. Edge weights are estimated first when the
-// profile is sampling-based, exactly as Optimize always did.
+// profile is sampling-based, the way Spike does.
 func (pl Pipeline) Run(p *program.Program, pf *profile.Profile) (*program.Layout, *Report, error) {
 	return pl.RunFused(p, pf, nil, nil)
 }

@@ -204,35 +204,43 @@ func TestPipelineStageOrderEnforced(t *testing.T) {
 	}
 }
 
+// TestComboPipelinesMatchOptimize checks that every combo name builds the
+// same layout and report as its spec written out, that the extension
+// layouts validate, and that unknown names are rejected. The golden test
+// holds both against the pre-pipeline optimizer.
 func TestComboPipelinesMatchOptimize(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
 	p := progtest.RandProgram(r, 7)
 	pf := progtest.RandProfile(r, p, 20, 300)
 	for _, c := range core.Combos() {
-		pl, err := core.ComboPipeline(c.Name)
+		byName, err := core.Resolve(c.Name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, wantRep, err := core.Optimize(p, pf, c.Opts)
+		bySpec, err := core.ParsePipeline(c.Spec)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("%s: %v", c.Name, err)
 		}
-		got, gotRep, err := pl.Run(p, pf)
+		want, wantRep, err := bySpec.Run(p, pf)
+		if err != nil {
+			t.Fatalf("%s: spec: %v", c.Name, err)
+		}
+		got, gotRep, err := byName.Run(p, pf)
 		if err != nil {
 			t.Fatalf("%s: %v", c.Name, err)
 		}
 		if !reflect.DeepEqual(got.Addr, want.Addr) || !reflect.DeepEqual(got.Order, want.Order) {
-			t.Fatalf("%s: combo pipeline diverged from Optimize", c.Name)
+			t.Fatalf("%s: combo pipeline diverged from its spec", c.Name)
 		}
 		if !reflect.DeepEqual(gotRep, wantRep) {
 			t.Fatalf("%s: reports diverged: %+v != %+v", c.Name, *gotRep, *wantRep)
 		}
 	}
-	if _, err := core.ComboPipeline("nope"); err == nil {
+	if _, err := core.Resolve("nope"); err == nil {
 		t.Fatal("expected error for unknown combo")
 	}
 	for _, name := range []string{"hotcold", "cfa", "ipchain"} {
-		pl, err := core.ComboPipeline(name)
+		pl, err := core.Resolve(name)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

@@ -1,17 +1,29 @@
 package core_test
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
 	"codelayout/internal/core"
+	"codelayout/internal/profile"
 	"codelayout/internal/program"
 	"codelayout/internal/progtest"
 )
 
+// run resolves a combo name or pipeline spec and runs it.
+func run(layout string, p *program.Program, pf *profile.Profile) (*program.Layout, *core.Report, error) {
+	pl, err := core.Resolve(layout)
+	if err != nil {
+		return nil, nil, err
+	}
+	return pl.Run(p, pf)
+}
+
 func TestCombosCoverPaper(t *testing.T) {
-	names := []string{"base", "porder", "chain", "chain+split", "chain+porder", "all"}
+	names := []string{"base", "porder", "chain", "chain+split", "chain+porder", "all",
+		"hotcold", "cfa", "ipchain", "fusion"}
 	combos := core.Combos()
 	if len(combos) != len(names) {
 		t.Fatalf("combos = %d", len(combos))
@@ -20,11 +32,24 @@ func TestCombosCoverPaper(t *testing.T) {
 		if combos[i].Name != n {
 			t.Fatalf("combo %d = %q, want %q", i, combos[i].Name, n)
 		}
+		// Table specs are canonical: each re-renders to itself, and the
+		// name resolves to the same pipeline.
+		pl, err := core.Resolve(combos[i].Spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		byName, err := core.Resolve(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pl.String() != combos[i].Spec || byName.String() != combos[i].Spec {
+			t.Fatalf("%s: spec %q re-renders as %q / %q", n, combos[i].Spec, pl, byName)
+		}
+		if want := n == "fusion"; pl.Fuses() != want {
+			t.Fatalf("%s: Fuses() = %v, want %v", n, pl.Fuses(), want)
+		}
 	}
-	if _, err := core.ComboByName("all"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := core.ComboByName("nope"); err == nil {
+	if _, err := core.Resolve("nope"); err == nil {
 		t.Fatal("expected error")
 	}
 }
@@ -35,7 +60,7 @@ func TestOptimizeAllCombosValid(t *testing.T) {
 		p := progtest.RandProgram(r, 1+r.Intn(6))
 		pf := progtest.RandProfile(r, p, 15, 250)
 		for _, combo := range core.Combos() {
-			l, rep, err := core.Optimize(p, pf, combo.Opts)
+			l, rep, err := run(combo.Spec, p, pf)
 			if err != nil {
 				t.Logf("seed %d %s: %v", seed, combo.Name, err)
 				return false
@@ -60,7 +85,7 @@ func TestOptimizeBaseMatchesSourceOrder(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	p := progtest.RandProgram(r, 5)
 	pf := progtest.RandProfile(r, p, 10, 200)
-	l, _, err := core.Optimize(p, pf, core.Options{})
+	l, _, err := run("base", p, pf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +103,7 @@ func TestSplitModesPartitionBlocks(t *testing.T) {
 		p := progtest.RandProgram(r, 1+r.Intn(5))
 		pf := progtest.RandProfile(r, p, 10, 200)
 		for _, mode := range []core.SplitMode{core.SplitNone, core.SplitFine, core.SplitHotCold} {
-			l, _, err := core.Optimize(p, pf, core.Options{Chain: true, Split: mode})
+			l, _, err := run("chain,split:"+mode.String(), p, pf)
 			if err != nil || l.Validate() != nil {
 				t.Logf("seed %d mode %v: %v", seed, mode, err)
 				return false
@@ -97,7 +122,7 @@ func TestOptimizeAllPacksHotCodeFirst(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	p := progtest.RandProgram(r, 8)
 	pf := progtest.RandProfile(r, p, 25, 400)
-	l, _, err := core.Optimize(p, pf, core.Options{Chain: true, Split: core.SplitFine, Order: core.OrderPettisHansen})
+	l, _, err := run("all", p, pf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,11 +166,8 @@ func TestCFAPlanKeepsHotCodeOutOfReservedSets(t *testing.T) {
 	pf := progtest.RandProfile(r, p, 30, 400)
 	const cacheBytes = 4096
 	const reservedBytes = 1024
-	opts := core.Options{
-		Chain: true, Split: core.SplitFine, Order: core.OrderPettisHansen,
-		CFA: &core.CFAOptions{CacheBytes: cacheBytes, ReservedBytes: reservedBytes},
-	}
-	l, rep, err := core.Optimize(p, pf, opts)
+	spec := fmt.Sprintf("chain,split:fine,porder:ph,cfa:%d/%d", cacheBytes, reservedBytes)
+	l, rep, err := run(spec, p, pf)
 	if err != nil {
 		t.Fatal(err)
 	}

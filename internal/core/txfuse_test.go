@@ -86,18 +86,14 @@ func blockCountSum(pf *profile.Profile) uint64 {
 // report's clone tallies matching what the cloner actually did and the
 // profile's total block count conserved across the transfer.
 func TestPassCoverageProperty(t *testing.T) {
-	var specs []string
-	for _, c := range core.Combos() {
-		specs = append(specs, c.Name)
-	}
-	specs = append(specs, "hotcold", "cfa", "ipchain", "fusion")
 	for seed := int64(1); seed <= 8; seed++ {
 		r := rand.New(rand.NewSource(seed))
 		p := progtest.RandProgram(r, 8)
 		pf := progtest.RandProfile(r, p, 20, 300)
 		inputBlocks := len(p.Blocks)
-		for _, name := range specs {
-			pl, err := core.ComboPipeline(name)
+		for _, c := range core.Combos() {
+			name := c.Name
+			pl, err := core.Resolve(name)
 			if err != nil {
 				t.Fatal(err)
 			}

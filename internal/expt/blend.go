@@ -102,6 +102,10 @@ func BlendTable(o Options, spec BlendSpec) (*BlendResult, error) {
 		return nil, err
 	}
 
+	all, err := core.Resolve("all")
+	if err != nil {
+		return nil, err
+	}
 	res := &BlendResult{}
 	t := stats.NewTable(
 		fmt.Sprintf("Aged-profile blend: %s → %s, full pipeline, evaluated under %s",
@@ -112,9 +116,7 @@ func BlendTable(o Options, spec BlendSpec) (*BlendResult, error) {
 		if err != nil {
 			return nil, fmt.Errorf("expt: blend ratio %v: %w", r, err)
 		}
-		l, _, err := core.Optimize(src.appImg.Prog, blended.App, core.Options{
-			Chain: true, Split: core.SplitFine, Order: core.OrderPettisHansen,
-		})
+		l, _, err := all.Run(src.appImg.Prog, blended.App)
 		if err != nil {
 			return nil, fmt.Errorf("expt: blend ratio %v layout: %w", r, err)
 		}

@@ -243,16 +243,6 @@ func (sp ShardSweepSpec) resolveGC(o Options) machine.AutoGCMode {
 	return machine.AutoGCTargetP99
 }
 
-// ShardSweep sweeps the shard count over the given workload, self-training
-// at each count, and reports the speed levers the router adds: throughput
-// (busy instructions per transaction and committed txns per million
-// instruction-times of wall clock), blocked-on-log time, and app/kernel
-// miss ratios. It is the legacy entry point — ShardSweepTable with a zero
-// spec except for the given counts and layouts.
-func ShardSweep(o Options, shardCounts []int, layouts []string) (*stats.Table, error) {
-	return ShardSweepTable(o, ShardSweepSpec{Shards: shardCounts, Layouts: layouts})
-}
-
 // sweepRow aggregates one (shards, layout) measurement for the table.
 type sweepRow struct {
 	perTxn, perM float64
@@ -279,7 +269,11 @@ func delta(off, on float64) string {
 	return fmt.Sprintf("%+.1f%%", 100*(on/off-1))
 }
 
-// ShardSweepTable runs the configured shard-count sweep. With spec.FastPath
+// ShardSweepTable sweeps the shard count over the given workload,
+// self-training at each count, and reports the speed levers the router
+// adds: throughput (busy instructions per transaction and committed txns
+// per million instruction-times of wall clock), blocked-on-log time, and
+// app/kernel miss ratios. With spec.FastPath
 // every sharded count is measured twice — fast path off and on — over one
 // shared image that carries the predictor models, so the off/on pair
 // differs only in the runtime toggle and the table's delta columns isolate

@@ -244,17 +244,17 @@ func (s *Session) MemoStats() MemoStats {
 }
 
 // layoutKey identifies a built layout: the resolved train spec it was
-// trained from plus the layout (or kernel-layout) name. Baselines carry an
-// empty train spec — they depend on no profile.
+// trained from plus the layout's identity. Baselines carry an empty train
+// spec — they depend on no profile.
 type layoutKey struct {
 	train string
-	name  string
+	layoutID
 }
 
 type measKey struct {
 	train     string
 	workload  string
-	layout    string
+	layout    layoutID
 	kern      string
 	reclayout string
 	cpus      int
@@ -319,11 +319,16 @@ func (s *Session) Source() *ProfileSource { return s.src }
 // AppImage exposes the application image (facade and tools).
 func (s *Session) AppImage() *codegen.Image { return s.src.appImg }
 
-// AppImageFor returns the app image measurements of the named layout run
-// over: the specialized (clone-grown) image for "fusion" once the layout is
-// built, the shared image for everything else.
+// AppImageFor returns the app image measurements of a layout (a name or
+// raw spec, as for Layout) run over: once the layout is built, the
+// specialized (clone-grown) image if its pipeline fuses, the shared image
+// otherwise. "fusion" and core.TxFuseSpec name one layout and one image.
 func (s *Session) AppImageFor(name string) *codegen.Image {
-	return s.src.appImageFor(s.defTrain, name)
+	id, _, err := resolveLayout(name)
+	if err != nil {
+		return s.src.appImg
+	}
+	return s.src.appImageFor(s.defTrain, id)
 }
 
 // KernelImage exposes the kernel image.
@@ -362,28 +367,24 @@ func (s *Session) Profile() (*profile.Profile, error) {
 	return run.app, nil
 }
 
-// PipelineSpec returns the resolved pass list of a named layout (for
+// PipelineSpec returns the canonical pass list of a named layout (for
 // reports). "base" has no pipeline and resolves to the empty spec.
 func (s *Session) PipelineSpec(name string) (string, error) {
-	if name == "base" {
-		return "", nil
-	}
-	pl, _, err := s.src.layoutSpec(s.defTrain, name)
-	if err != nil {
+	_, pl, err := resolveLayout(name)
+	if err != nil || pl == nil {
 		return "", err
 	}
 	return pl.String(), nil
 }
 
-// Layout returns (building if needed) a named app layout trained under the
-// session's default train config. Known names: base, porder, chain,
-// chain+split, chain+porder, all, hotcold, cfa, dcpi-all, ipchain, fusion.
-// "fusion" is special: it runs txfuse over a specialized copy of the app
-// image (AppImageFor returns it) so shared procedures can be cloned into
-// each transaction kind's fused unit. A name containing pass separators
-// (",", ":") is treated as a raw pipeline spec and built through
-// core.ParsePipeline — specs containing txfuse take the specialized-image
-// path exactly like "fusion". Raw specs flow through Measure and
+// Layout returns (building if needed) an app layout trained under the
+// session's default train config. The name is "base" (the original
+// binary's layout), "dcpi-all" (the "all" pipeline over the DCPI sampling
+// profile), a core.Combos name, or a raw pipeline spec; a name and the spec
+// it resolves to are one layout, built and measured once. A pipeline that
+// fuses (txfuse) runs over a specialized copy of the app image, which
+// AppImageFor returns, so shared procedures can be cloned into each
+// transaction kind's fused unit. Raw specs flow through Measure and
 // MeasureBatch too, which is how the search engine evaluates genome
 // populations as one memoized parallel wave.
 func (s *Session) Layout(name string) (*program.Layout, error) {
@@ -404,7 +405,7 @@ func (s *Session) Report(name string) *core.Report {
 }
 
 // ReportFrom returns the optimizer report for a layout built under tc
-// (zero fields inherit as in Options.Train).
+// (zero fields inherit as in Options.Train); nil if it has not been built.
 func (s *Session) ReportFrom(tc TrainConfig, name string) *core.Report {
 	return s.src.report(s.Opt.resolveTrain(tc), name)
 }
@@ -482,10 +483,14 @@ func (s *Session) MeasureKernFrom(tc TrainConfig, layout, kern string, cpus int)
 }
 
 func (s *Session) measureFor(tc TrainConfig, layout, kern string, cpus int) (*Measure, error) {
+	id, pl, err := resolveLayout(layout)
+	if err != nil {
+		return nil, err
+	}
 	key := measKey{
 		train:     tc.Spec(),
 		workload:  s.Opt.Workload.Name(),
-		layout:    layout,
+		layout:    id,
 		kern:      kern,
 		reclayout: s.recordLayout(),
 		cpus:      cpus,
@@ -517,7 +522,7 @@ func (s *Session) measureFor(tc TrainConfig, layout, kern string, cpus int) (*Me
 		s.measMisses++
 		s.mu.Unlock()
 
-		meas, err := s.measure(tc, layout, kern, cpus)
+		meas, err := s.measure(tc, id, pl, kern, cpus)
 		s.mu.Lock()
 		if err != nil {
 			s.measErr[key] = err
@@ -531,8 +536,8 @@ func (s *Session) measureFor(tc TrainConfig, layout, kern string, cpus int) (*Me
 	}
 }
 
-func (s *Session) measure(tc TrainConfig, layout, kern string, cpus int) (*Measure, error) {
-	appL, err := s.src.layout(tc, layout)
+func (s *Session) measure(tc TrainConfig, id layoutID, pl core.Pipeline, kern string, cpus int) (*Measure, error) {
+	appL, err := s.src.build(tc, id, pl)
 	if err != nil {
 		return nil, err
 	}
@@ -542,9 +547,9 @@ func (s *Session) measure(tc TrainConfig, layout, kern string, cpus int) (*Measu
 		return nil, err
 	}
 	bat := newBattery(cpus)
-	// The fusion layout addresses cloned blocks that exist only in its
+	// A fused layout addresses cloned blocks that exist only in its
 	// specialized image; every other layout runs over the shared image.
-	cfg := s.machineConfig(s.src.appImageFor(tc, layout), appL, kernL, cpus)
+	cfg := s.machineConfig(s.src.appImageFor(tc, id), appL, kernL, cpus)
 	cfg.Sinks = bat.sinks()
 	cfg.DataSinks = bat.dataSinks()
 	if s.recordLayout() == "grouped" {
@@ -563,10 +568,10 @@ func (s *Session) measure(tc TrainConfig, layout, kern string, cpus int) (*Measu
 	}
 	res, err := mach.Run()
 	if err != nil {
-		return nil, fmt.Errorf("expt: measuring %s/%s/%dcpu (train %s): %w", layout, kern, cpus, tc.Spec(), err)
+		return nil, fmt.Errorf("expt: measuring %s/%s/%dcpu (train %s): %w", id.spec, kern, cpus, tc.Spec(), err)
 	}
 	if err := mach.CheckInvariants(); err != nil {
-		return nil, fmt.Errorf("expt: measuring %s/%s/%dcpu (train %s): %w", layout, kern, cpus, tc.Spec(), err)
+		return nil, fmt.Errorf("expt: measuring %s/%s/%dcpu (train %s): %w", id.spec, kern, cpus, tc.Spec(), err)
 	}
 	meas := bat.finish(res)
 	meas.Latency = mach.LatencyByKind()

@@ -3,14 +3,12 @@ package expt
 import (
 	"fmt"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 
 	"codelayout/internal/appmodel"
 	"codelayout/internal/codegen"
 	"codelayout/internal/core"
-	"codelayout/internal/isa"
 	"codelayout/internal/kernel"
 	"codelayout/internal/machine"
 	"codelayout/internal/profile"
@@ -118,9 +116,9 @@ type ProfileSource struct {
 	layouts   map[layoutKey]*program.Layout
 	reports   map[layoutKey]*core.Report
 	kernLay   map[layoutKey]*program.Layout
-	// images holds per-layout specialized app images: the fusion layout
-	// clones procedures, so its layout addresses blocks the shared image
-	// does not have, and measurements must run over the grown image.
+	// images holds per-layout specialized app images: fusing layouts clone
+	// procedures, so they address blocks the shared image does not have,
+	// and measurements must run over the grown image.
 	images map[layoutKey]*codegen.Image
 
 	// memo hit/miss counters (MemoStats): how often the train and layout
@@ -179,8 +177,8 @@ func NewProfileSource(o Options, extra ...workload.Workload) (*ProfileSource, er
 	if err != nil {
 		return nil, err
 	}
-	ps.layouts[layoutKey{name: "base"}] = ps.baseApp
-	ps.kernLay[layoutKey{name: "kbase"}] = ps.baseKern
+	ps.layouts[layoutKey{layoutID: layoutID{spec: "base"}}] = ps.baseApp
+	ps.kernLay[layoutKey{layoutID: layoutID{spec: "kbase"}}] = ps.baseKern
 	ps.store = o.ProfileStore
 	ps.imageID = fmt.Sprintf("%016x-%016x", ps.appImg.Prog.Fingerprint(), ps.kernImg.Prog.Fingerprint())
 	return ps, nil
@@ -336,82 +334,66 @@ func (ps *ProfileSource) train(tc TrainConfig) (*trainRun, error) {
 	}
 }
 
-// isPipelineSpec reports whether a layout name is a raw pass-pipeline spec
-// ("chain,split:fine,porder:ph,materialize") rather than a registered combo
-// name: specs contain the pass separators, combo names never do. Raw specs
-// are first-class layouts — the search engine's genomes measure through the
-// same memo layer as the named combos.
-func isPipelineSpec(name string) bool { return strings.ContainsAny(name, ",:") }
+// profileKind selects which of a training run's app profiles a layout
+// pipeline runs over.
+type profileKind uint8
 
-// pipelineFuses reports whether a parsed pipeline contains the txfuse pass
-// (whose layouts clone procedures and therefore need a specialized image).
-func pipelineFuses(pl core.Pipeline) bool {
-	for _, p := range pl {
-		if n := p.Name(); n == "txfuse" || strings.HasPrefix(n, "txfuse:") {
-			return true
-		}
-	}
-	return false
+const (
+	pixieProfile profileKind = iota // exact instrumentation counts
+	dcpiProfile                     // DCPI-style samples (the "dcpi-all" ablation)
+)
+
+// layoutID is a layout's identity apart from its training run: the
+// canonical pipeline spec ("base" for the baseline layout, the name for a
+// kernel layout) and the profile kind it trains on. A combo name and its
+// raw spec resolve to one layoutID, so they share every memo entry.
+type layoutID struct {
+	spec string
+	prof profileKind
 }
 
-// layoutSpec resolves a layout name to the pass pipeline implementing it
-// and the profile (from the given training run) it trains on. The paper's
-// combinations assemble their pipeline through core.PipelineFor; the
-// extensions name their pass lists directly, and a raw pipeline spec parses
-// as itself.
-func (ps *ProfileSource) layoutSpec(tc TrainConfig, name string) (core.Pipeline, *profile.Profile, error) {
-	run, err := ps.train(tc)
-	if err != nil {
-		return nil, nil, err
-	}
-	if isPipelineSpec(name) {
-		pl, err := core.ParsePipeline(name)
-		return pl, run.app, err
-	}
-	var o core.Options
-	prof := run.app
-	switch name {
-	case "porder":
-		o = core.Options{Order: core.OrderPettisHansen}
-	case "chain":
-		o = core.Options{Chain: true}
-	case "chain+split":
-		o = core.Options{Chain: true, Split: core.SplitFine}
-	case "chain+porder":
-		o = core.Options{Chain: true, Order: core.OrderPettisHansen}
-	case "all":
-		o = core.Options{Chain: true, Split: core.SplitFine, Order: core.OrderPettisHansen}
-	case "hotcold":
-		o = core.Options{Chain: true, Split: core.SplitHotCold, Order: core.OrderPettisHansen}
-	case "cfa":
-		o = core.Options{Chain: true, Split: core.SplitFine, Order: core.OrderPettisHansen,
-			CFA: &core.CFAOptions{CacheBytes: 64 << 10, ReservedBytes: 16 << 10}}
-	case "dcpi-all":
-		o = core.Options{Chain: true, Split: core.SplitFine, Order: core.OrderPettisHansen}
-		prof = run.dcpi
-	case "ipchain":
-		pl, err := core.ComboPipeline("ipchain")
-		return pl, run.app, err
-	case "fusion":
-		// Resolved here only for PipelineSpec; layout() builds fusion
-		// through fusedLayout, which supplies kind roots and a cloner.
-		pl, err := core.ComboPipeline("fusion")
-		return pl, run.app, err
-	default:
-		return nil, nil, fmt.Errorf("expt: unknown layout %q", name)
-	}
-	pl, err := core.PipelineFor(o)
-	return pl, prof, err
-}
-
-// layout builds (or returns the memoized) app layout trained under a fully
-// resolved config. Layouts depend only on source state, so every session of
-// the source shares them.
-func (ps *ProfileSource) layout(tc TrainConfig, name string) (*program.Layout, error) {
-	key := layoutKey{train: tc.Spec(), name: name}
+// resolveLayout maps a layout name — "base", "dcpi-all", a core.Combos
+// name — or a raw pipeline spec to its identity and pipeline (nil for
+// base, which is the original binary's layout rather than a pipeline).
+func resolveLayout(name string) (layoutID, core.Pipeline, error) {
 	if name == "base" {
-		key.train = "" // baselines are profile-independent
+		return layoutID{spec: "base"}, nil, nil
 	}
+	prof := pixieProfile
+	if name == "dcpi-all" {
+		name, prof = "all", dcpiProfile
+	}
+	pl, err := core.Resolve(name)
+	if err != nil {
+		return layoutID{}, nil, fmt.Errorf("expt: unknown layout: %w", err)
+	}
+	return layoutID{spec: pl.String(), prof: prof}, pl, nil
+}
+
+// key is the memo key of a layout built under tc; the baseline depends on
+// no profile, so it carries an empty train spec.
+func (id layoutID) key(tc TrainConfig) layoutKey {
+	if id.spec == "base" {
+		return layoutKey{layoutID: id}
+	}
+	return layoutKey{train: tc.Spec(), layoutID: id}
+}
+
+// layout builds (or returns the memoized) app layout of a name or raw spec
+// (see resolveLayout) trained under a fully resolved config.
+func (ps *ProfileSource) layout(tc TrainConfig, name string) (*program.Layout, error) {
+	id, pl, err := resolveLayout(name)
+	if err != nil {
+		return nil, err
+	}
+	return ps.build(tc, id, pl)
+}
+
+// build builds (or returns the memoized) layout id with its pipeline pl.
+// Layouts depend only on source state, so every session of the source
+// shares them.
+func (ps *ProfileSource) build(tc TrainConfig, id layoutID, pl core.Pipeline) (*program.Layout, error) {
+	key := id.key(tc)
 	ps.mu.Lock()
 	l, ok := ps.layouts[key]
 	if ok {
@@ -421,82 +403,23 @@ func (ps *ProfileSource) layout(tc TrainConfig, name string) (*program.Layout, e
 	}
 	ps.layoutMisses++
 	ps.mu.Unlock()
-	if name == "fusion" {
-		return ps.fusedLayout(tc, key, nil)
-	}
-	if isPipelineSpec(name) {
-		pl, err := core.ParsePipeline(name)
-		if err != nil {
-			return nil, err
-		}
-		if pipelineFuses(pl) {
-			return ps.fusedLayout(tc, key, pl)
-		}
-	}
-	pl, prof, err := ps.layoutSpec(tc, name)
-	if err != nil {
-		return nil, err
-	}
-	// Copy the profile so EnsureEdges on a sampled profile does not
-	// contaminate the shared instance. When the source carries no measured
-	// edges (sampling profiles, or a degenerate training run), drop the
-	// shared empty map too: concurrent layout builds would otherwise
-	// estimate edges into the same map without a lock.
-	pf := &profile.Profile{Name: prof.Name, BlockCount: prof.BlockCount, EdgeCount: prof.EdgeCount}
-	if name == "dcpi-all" || !prof.HasEdges() {
-		pf = &profile.Profile{Name: prof.Name, BlockCount: prof.BlockCount}
-	}
-	l, rep, err := pl.Run(ps.appImg.Prog, pf)
-	if err != nil {
-		return nil, fmt.Errorf("expt: layout %q (train %s): %w", name, key.train, err)
-	}
-	ps.mu.Lock()
-	defer ps.mu.Unlock()
-	if prev, ok := ps.layouts[key]; ok {
-		return prev, nil // another goroutine built it concurrently
-	}
-	ps.layouts[key] = l
-	ps.reports[key] = rep
-	return l, nil
-}
-
-// fusedLayout builds a fusing layout — the named "fusion" combo (pl nil) or
-// any raw pipeline spec containing txfuse — over a specialized copy of the
-// app image, so cloned procedures become real code the simulator can fetch.
-// The specialized image is memoized next to the layout (appImageFor); the
-// shared image is never mutated.
-func (ps *ProfileSource) fusedLayout(tc TrainConfig, key layoutKey, pl core.Pipeline) (*program.Layout, error) {
 	run, err := ps.train(tc)
 	if err != nil {
 		return nil, err
 	}
-	if pl == nil {
-		if pl, err = core.ComboPipeline("fusion"); err != nil {
-			return nil, err
-		}
+	prof := run.app
+	if id.prof == dcpiProfile {
+		prof = run.dcpi
 	}
-	simg := ps.appImg.Specialize()
-	roots, err := ps.fusionRoots(simg)
+	// Fusing pipelines resolve kind roots over every covered workload, in
+	// sorted order so the fused layout is deterministic.
+	wls := make([]workload.Workload, 0, len(ps.workloads))
+	for _, name := range ps.WorkloadNames() {
+		wls = append(wls, ps.workloads[name])
+	}
+	l, rep, img, err := appmodel.BuildLayout(ps.appImg, pl, prof, wls...)
 	if err != nil {
-		return nil, err
-	}
-	// txfuse moves counts and edges onto clones, so it needs a private deep
-	// copy of the training profile, not the shared instance.
-	pf := &profile.Profile{
-		Name:       run.app.Name,
-		BlockCount: append([]uint64(nil), run.app.BlockCount...),
-		EdgeCount:  make(map[uint64]uint64, len(run.app.EdgeCount)),
-	}
-	for k, v := range run.app.EdgeCount {
-		pf.EdgeCount[k] = v
-	}
-	l, rep, err := pl.RunFused(simg.Prog, pf, roots, simg)
-	if err != nil {
-		return nil, fmt.Errorf("expt: layout %q (train %s): %w", key.name, key.train, err)
-	}
-	if l.TotalBytes() > isa.AppTextLimitBytes {
-		return nil, fmt.Errorf("expt: fused layout is %d bytes, past the %d-byte app text map; lower the txfuse clone budget",
-			l.TotalBytes(), isa.AppTextLimitBytes)
+		return nil, fmt.Errorf("expt: layout %q (train %s): %w", id.spec, key.train, err)
 	}
 	ps.mu.Lock()
 	defer ps.mu.Unlock()
@@ -505,37 +428,19 @@ func (ps *ProfileSource) fusedLayout(tc TrainConfig, key layoutKey, pl core.Pipe
 	}
 	ps.layouts[key] = l
 	ps.reports[key] = rep
-	ps.images[key] = simg
+	if img != ps.appImg {
+		ps.images[key] = img
+	}
 	return l, nil
-}
-
-// fusionRoots resolves the kind roots of every covered workload that
-// declares them (workload.KindRoots) against an image, in sorted workload
-// order so the root list — and therefore the fused layout — is
-// deterministic.
-func (ps *ProfileSource) fusionRoots(img *codegen.Image) ([]core.KindRoot, error) {
-	wls := make([]workload.Workload, 0, len(ps.workloads))
-	for _, name := range ps.WorkloadNames() {
-		wls = append(wls, ps.workloads[name])
-	}
-	roots, err := appmodel.FusionRoots(img, wls...)
-	if err != nil {
-		return nil, err
-	}
-	if len(roots) == 0 {
-		return nil, fmt.Errorf("expt: the fusion layout needs a workload declaring its kind roots; none of %v does", ps.WorkloadNames())
-	}
-	return roots, nil
 }
 
 // appImageFor returns the app image a layout's measurements must run over:
 // the specialized (grown) image when the layout built one, the shared image
 // otherwise. Valid once the layout has been built.
-func (ps *ProfileSource) appImageFor(tc TrainConfig, name string) *codegen.Image {
-	key := layoutKey{train: tc.Spec(), name: name}
+func (ps *ProfileSource) appImageFor(tc TrainConfig, id layoutID) *codegen.Image {
 	ps.mu.Lock()
 	defer ps.mu.Unlock()
-	if img, ok := ps.images[key]; ok {
+	if img, ok := ps.images[id.key(tc)]; ok {
 		return img
 	}
 	return ps.appImg
@@ -544,16 +449,19 @@ func (ps *ProfileSource) appImageFor(tc TrainConfig, name string) *codegen.Image
 // report returns the optimizer report of a layout built under tc (nil if
 // the layout has not been built).
 func (ps *ProfileSource) report(tc TrainConfig, name string) *core.Report {
-	key := layoutKey{train: tc.Spec(), name: name}
+	id, _, err := resolveLayout(name)
+	if err != nil {
+		return nil
+	}
 	ps.mu.Lock()
 	defer ps.mu.Unlock()
-	return ps.reports[key]
+	return ps.reports[id.key(tc)]
 }
 
 // kernLayout builds (or returns the memoized) kernel layout: "kbase" or
 // "kopt" (the full pipeline over the training run's kernel profile).
 func (ps *ProfileSource) kernLayout(tc TrainConfig, name string) (*program.Layout, error) {
-	key := layoutKey{train: tc.Spec(), name: name}
+	key := layoutKey{train: tc.Spec(), layoutID: layoutID{spec: name}}
 	if name == "kbase" {
 		key.train = ""
 	}
@@ -570,9 +478,11 @@ func (ps *ProfileSource) kernLayout(tc TrainConfig, name string) (*program.Layou
 	if err != nil {
 		return nil, err
 	}
-	l, _, err = core.Optimize(ps.kernImg.Prog, run.kern, core.Options{
-		Chain: true, Split: core.SplitFine, Order: core.OrderPettisHansen,
-	})
+	pl, err := core.Resolve("all")
+	if err != nil {
+		return nil, err
+	}
+	l, _, _, err = appmodel.BuildLayout(ps.kernImg, pl, run.kern)
 	if err != nil {
 		return nil, err
 	}

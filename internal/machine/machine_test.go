@@ -6,7 +6,6 @@ import (
 	"codelayout/internal/appmodel"
 	"codelayout/internal/cache"
 	"codelayout/internal/codegen"
-	"codelayout/internal/core"
 	"codelayout/internal/kernel"
 	"codelayout/internal/machine"
 	"codelayout/internal/ordere"
@@ -255,9 +254,7 @@ func TestOptimizedLayoutRunsAndReducesMisses(t *testing.T) {
 			}
 
 			// Optimize.
-			optL, rep, err := core.Optimize(app.Prog, px.Profile, core.Options{
-				Chain: true, Split: core.SplitFine, Order: core.OrderPettisHansen,
-			})
+			optL, rep, err := optimize("all", app.Prog, px.Profile)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -316,7 +313,7 @@ func TestSequenceLengthImprovesWithChaining(t *testing.T) {
 	if _, err := m.Run(); err != nil {
 		t.Fatal(err)
 	}
-	optL, _, err := core.Optimize(app.Prog, px.Profile, core.Options{Chain: true})
+	optL, _, err := optimize("chain", app.Prog, px.Profile)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -74,9 +74,7 @@ func trainReadOnlyLayout(t *testing.T, app *codegen.Image, appL *program.Layout,
 	if _, err := m.Run(); err != nil {
 		t.Fatal(err)
 	}
-	l, _, err := core.Optimize(app.Prog, px.Profile, core.Options{
-		Chain: true, Split: core.SplitFine, Order: core.OrderPettisHansen,
-	})
+	l, _, err := optimize("all", app.Prog, px.Profile)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,10 +121,17 @@ func kindP99(t *testing.T, m *machine.Machine, kind string) uint64 {
 	return 0
 }
 
+// optimize lays p out with a combo name or pipeline spec.
+func optimize(layout string, p *program.Program, pf *profile.Profile) (*program.Layout, *core.Report, error) {
+	pl, err := core.Resolve(layout)
+	if err != nil {
+		return nil, nil, err
+	}
+	return pl.Run(p, pf)
+}
+
 func coreOptimize(app *codegen.Image, pf *profile.Profile) (*program.Layout, error) {
-	l, _, err := core.Optimize(app.Prog, pf, core.Options{
-		Chain: true, Split: core.SplitFine, Order: core.OrderPettisHansen,
-	})
+	l, _, err := optimize("all", app.Prog, pf)
 	return l, err
 }
 

@@ -1,9 +1,11 @@
 package search_test
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
+	"codelayout/internal/core"
 	"codelayout/internal/expt"
 	"codelayout/internal/ordere"
 	"codelayout/internal/search"
@@ -184,8 +186,9 @@ func winnerRow(res *search.Result, wl, layout string) (float64, bool) {
 }
 
 // TestRawSpecMatchesNamedCombo pins the expt bridge the search relies on: a
-// raw pipeline spec measured through Session.Measure produces the same
-// machine results as its named-combo equivalent.
+// raw pipeline spec and the named combo it spells are one layout — one
+// build, one measurement, one image — while "dcpi-all", which runs the "all"
+// pipeline over a different profile, stays a layout of its own.
 func TestRawSpecMatchesNamedCombo(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation in -short mode")
@@ -194,21 +197,67 @@ func TestRawSpecMatchesNamedCombo(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pairs := map[string]string{
-		"ipchain": "chain,split:none,ipchain,porder:ph,materialize",
-		"all":     "chain,split:fine,porder:ph,materialize",
+	pairs := []struct{ named, spec string }{
+		{"ipchain", "chain,split:none,ipchain,porder:ph,materialize"},
+		{"all", "chain,split:fine,porder:ph,materialize"},
+		{"fusion", "chain,split:none,txfuse,porder:ph,materialize"},
+		{"hotcold", "chain,split:hotcold,porder:ph,materialize"},
+		// Terse spellings canonicalize onto the combo's spec.
+		{"cfa", "chain,split:fine,porder:ph,cfa,materialize"},
+		{"chain", "chain,split:none,porder:orig,materialize"},
+		{"porder", "split,porder,materialize"},
 	}
-	for named, spec := range pairs {
-		a, err := s.Measure(named, s.Opt.CPUs)
+	for _, p := range pairs {
+		before := s.MemoStats().Measure
+		a, err := s.Measure(p.named, s.Opt.CPUs)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := s.Measure(spec, s.Opt.CPUs)
+		b, err := s.Measure(p.spec, s.Opt.CPUs)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if a.Res != b.Res {
-			t.Errorf("raw spec %q diverges from named combo %q:\n%+v\n%+v", spec, named, a.Res, b.Res)
+		after := s.MemoStats().Measure
+		if misses, hits := after.Misses-before.Misses, after.Hits-before.Hits; misses != 1 || hits != 1 {
+			t.Errorf("%s + %q cost %d measure misses and %d hits, want 1 + 1", p.named, p.spec, misses, hits)
 		}
+		if a.Res != b.Res || *a.App4W[64] != *b.App4W[64] {
+			t.Errorf("raw spec %q diverges from named combo %q:\n%+v\n%+v", p.spec, p.named, a.Res, b.Res)
+		}
+		la, err := s.Layout(p.named)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lb, err := s.Layout(p.spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if la != lb {
+			t.Errorf("raw spec %q built a second layout next to %q", p.spec, p.named)
+		}
+	}
+	if fused := s.AppImageFor("fusion"); fused != s.AppImageFor(core.TxFuseSpec) || fused == s.AppImage() {
+		t.Error("fusion and its raw spec must share one specialized image")
+	}
+
+	// "all" is memoized above; its DCPI-trained twin is a second miss with
+	// a different layout.
+	before := s.MemoStats().Measure
+	if _, err := s.Measure("dcpi-all", s.Opt.CPUs); err != nil {
+		t.Fatal(err)
+	}
+	if misses := s.MemoStats().Measure.Misses - before.Misses; misses != 1 {
+		t.Errorf("dcpi-all cost %d measure misses after all, want 1", misses)
+	}
+	all, err := s.Layout("all")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dcpi, err := s.Layout("dcpi-all")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if all == dcpi || reflect.DeepEqual(all.Addr, dcpi.Addr) {
+		t.Error("dcpi-all shares the all layout")
 	}
 }

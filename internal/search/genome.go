@@ -138,17 +138,6 @@ func (g Genome) Validate() error {
 	return nil
 }
 
-// Fuses reports whether the genome contains the txfuse pass (its layouts
-// clone procedures over a specialized image).
-func (g Genome) Fuses() bool {
-	for _, gene := range g {
-		if gene.Name == "txfuse" {
-			return true
-		}
-	}
-	return false
-}
-
 // stages is the structural decomposition of a genome used by the mutation
 // and crossover operators: one slot per stage, nil when the stage is absent.
 // Reassembling slots in canonical order always yields a legal genome, which
