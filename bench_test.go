@@ -867,11 +867,11 @@ func BenchmarkPipelineSearch(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		win, err := s.Measure(res.Winner.Spec, eo.CPUs)
+		win, err := s.MeasureNeed(res.Winner.Spec, eo.CPUs, expt.NeedNone)
 		if err != nil {
 			b.Fatal(err)
 		}
-		fus, err := s.Measure("fusion", eo.CPUs)
+		fus, err := s.MeasureNeed("fusion", eo.CPUs, expt.NeedNone)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -1,7 +1,9 @@
 package codegen_test
 
 import (
+	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"codelayout/internal/codegen"
@@ -300,5 +302,75 @@ func TestAutoPickRespectsWeights(t *testing.T) {
 	}
 	if rareN > 100 || hotN < 1900 {
 		t.Fatalf("weights ignored: rare=%d hot=%d", rareN, hotN)
+	}
+}
+
+// TestAutoAnnotationsFollowClones checks the block-indexed auto annotations:
+// they cover every block, Specialize copies them without sharing the base
+// image's slices, and a clone's blocks carry their originals' PRNG arms.
+func TestAutoAnnotationsFollowClones(t *testing.T) {
+	img, err := codegen.Build(codegen.ImageSpec{
+		Name:     "t",
+		TextBase: isa.AppTextBase,
+		Fns: []codegen.FnSpec{
+			{Name: "leaf", Auto: true, Body: []codegen.Frag{codegen.Seq(2)}},
+			{Name: "helper", Auto: true, Body: []codegen.Frag{
+				codegen.AutoIf{Prob: 0.25, Then: []codegen.Frag{codegen.Seq(3)}},
+				codegen.AutoLoop{Prob: 0.5, Head: 1, Body: []codegen.Frag{codegen.Seq(1)}},
+				codegen.AutoPick{Fns: []string{"leaf", "leaf"}, Weights: []uint32{1, 3}},
+			}},
+			{Name: "engine", Body: []codegen.Frag{
+				codegen.If{Site: "cond", Then: []codegen.Frag{codegen.Seq(2)}},
+				codegen.Call{Fn: "helper"},
+			}},
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	covered := func(img *codegen.Image) {
+		t.Helper()
+		if n := len(img.Prog.Blocks); len(img.AutoProb) != n || len(img.AutoCum) != n {
+			t.Fatalf("annotations cover %d/%d of %d blocks", len(img.AutoProb), len(img.AutoCum), n)
+		}
+	}
+	covered(img)
+	var probs, cums int
+	for id := range img.Prog.Blocks {
+		if !math.IsNaN(img.AutoProb[id]) {
+			probs++
+		}
+		if img.AutoCum[id] != nil {
+			cums++
+		}
+	}
+	if probs != 2 || cums != 1 {
+		t.Fatalf("%d auto Cond and %d auto Indirect blocks, want 2 and 1", probs, cums)
+	}
+
+	spec := img.Specialize()
+	helper := spec.Fns["helper"].Proc
+	clone, err := spec.CloneProc(helper.ID, "k")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A second specialization grows its own annotations, not spec's.
+	spec2 := img.Specialize()
+	if _, err := spec2.CloneProc(spec2.Fns["leaf"].Proc.ID, "k"); err != nil {
+		t.Fatal(err)
+	}
+	covered(spec)
+	covered(spec2)
+	covered(img)
+	orig, cl := helper.Blocks, spec.Prog.Proc(clone).Blocks
+	for i := range orig {
+		o, c := orig[i], cl[i]
+		po, pc := spec.AutoProb[o], spec.AutoProb[c]
+		if po != pc && !(math.IsNaN(po) && math.IsNaN(pc)) {
+			t.Errorf("clone block %d prob %v, original %v", c, pc, po)
+		}
+		if !reflect.DeepEqual(spec.AutoCum[o], spec.AutoCum[c]) {
+			t.Errorf("clone block %d weights %v, original %v", c, spec.AutoCum[c], spec.AutoCum[o])
+		}
 	}
 }

@@ -2,6 +2,7 @@ package codegen
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 
@@ -175,8 +176,8 @@ func (e *Emitter) advance() {
 		case isa.TermBranch:
 			e.transition(b, b.Taken)
 		case isa.TermCond:
-			p, auto := e.Img.AutoProb[b.ID]
-			if !auto {
+			p := e.Img.AutoProb[b.ID]
+			if math.IsNaN(p) {
 				return // wait for Branch
 			}
 			if e.Rng.Float64() < p {
@@ -185,8 +186,8 @@ func (e *Emitter) advance() {
 				e.transition(b, b.Taken)
 			}
 		case isa.TermIndirect:
-			cum, auto := e.Img.AutoCum[b.ID]
-			if !auto {
+			cum := e.Img.AutoCum[b.ID]
+			if cum == nil {
 				return // wait for Case
 			}
 			x := uint32(e.Rng.Int63n(int64(cum[len(cum)-1])))

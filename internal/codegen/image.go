@@ -2,6 +2,7 @@ package codegen
 
 import (
 	"fmt"
+	"math"
 
 	"codelayout/internal/isa"
 	"codelayout/internal/program"
@@ -38,12 +39,22 @@ type Image struct {
 	// Site names the engine decision site implemented by a block (Cond or
 	// Indirect terminators).
 	Site map[program.BlockID]string
-	// AutoProb gives the PRNG probability of the Fall arm for auto Cond
-	// blocks.
-	AutoProb map[program.BlockID]float64
-	// AutoCum gives cumulative PRNG weights for auto Indirect blocks,
-	// parallel to Block.Targets.
-	AutoCum map[program.BlockID][]uint32
+	// AutoProb, indexed by BlockID, gives the PRNG probability of the Fall
+	// arm for auto Cond blocks and NaN for every other block.
+	AutoProb []float64
+	// AutoCum, indexed by BlockID, gives cumulative PRNG weights for auto
+	// Indirect blocks, parallel to Block.Targets, and nil for every other
+	// block. The weight slices are never mutated, so images share them.
+	AutoCum [][]uint32
+}
+
+// growAuto extends AutoProb and AutoCum to cover every block of the program,
+// marking the new blocks as not auto.
+func (img *Image) growAuto() {
+	for len(img.AutoProb) < len(img.Prog.Blocks) {
+		img.AutoProb = append(img.AutoProb, math.NaN())
+		img.AutoCum = append(img.AutoCum, nil)
+	}
 }
 
 // FnOf returns the modeled function owning the procedure.
@@ -61,11 +72,9 @@ func (img *Image) Entry(name string) (program.BlockID, error) {
 // Build lowers an image spec into a program plus emitter annotations.
 func Build(spec ImageSpec) (*Image, error) {
 	img := &Image{
-		Prog:     program.New(spec.Name, spec.TextBase),
-		Fns:      make(map[string]*Fn, len(spec.Fns)),
-		Site:     make(map[program.BlockID]string),
-		AutoProb: make(map[program.BlockID]float64),
-		AutoCum:  make(map[program.BlockID][]uint32),
+		Prog: program.New(spec.Name, spec.TextBase),
+		Fns:  make(map[string]*Fn, len(spec.Fns)),
+		Site: make(map[program.BlockID]string),
 	}
 	// First pass: declare procedures so calls can resolve in any order.
 	for _, fs := range spec.Fns {
@@ -131,7 +140,9 @@ type lowerer struct {
 type patch func(program.BlockID)
 
 func (lo *lowerer) newBlock() *program.Block {
-	return lo.img.Prog.AddBlock(lo.pr, 0)
+	b := lo.img.Prog.AddBlock(lo.pr, 0)
+	lo.img.growAuto()
+	return b
 }
 
 func (lo *lowerer) fail(format string, args ...interface{}) {

@@ -16,8 +16,8 @@ func (img *Image) Specialize() *Image {
 		Prog:     program.New(src.Name, src.TextBase),
 		Fns:      make(map[string]*Fn, len(img.Fns)),
 		Site:     make(map[program.BlockID]string, len(img.Site)),
-		AutoProb: make(map[program.BlockID]float64, len(img.AutoProb)),
-		AutoCum:  make(map[program.BlockID][]uint32, len(img.AutoCum)),
+		AutoProb: append([]float64(nil), img.AutoProb...),
+		AutoCum:  append([][]uint32(nil), img.AutoCum...),
 	}
 	for _, pr := range src.Procs {
 		np := out.Prog.AddProc(pr.Name)
@@ -38,12 +38,6 @@ func (img *Image) Specialize() *Image {
 	}
 	for id, site := range img.Site {
 		out.Site[id] = site
-	}
-	for id, p := range img.AutoProb {
-		out.AutoProb[id] = p
-	}
-	for id, cum := range img.AutoCum {
-		out.AutoCum[id] = append([]uint32(nil), cum...)
 	}
 	return out
 }
@@ -79,6 +73,7 @@ func (img *Image) CloneProc(id program.ProcID, tag string) (program.ProcID, erro
 		nb.Targets = append([]program.BlockID(nil), ob.Targets...)
 		remap[obid] = nb.ID
 	}
+	img.growAuto()
 	local := func(b program.BlockID) program.BlockID {
 		if nb, ok := remap[b]; ok {
 			return nb
@@ -99,12 +94,8 @@ func (img *Image) CloneProc(id program.ProcID, tag string) (program.ProcID, erro
 		if site, ok := img.Site[obid]; ok {
 			img.Site[nb.ID] = site
 		}
-		if p, ok := img.AutoProb[obid]; ok {
-			img.AutoProb[nb.ID] = p
-		}
-		if cum, ok := img.AutoCum[obid]; ok {
-			img.AutoCum[nb.ID] = append([]uint32(nil), cum...)
-		}
+		img.AutoProb[nb.ID] = img.AutoProb[obid]
+		img.AutoCum[nb.ID] = img.AutoCum[obid]
 	}
 
 	fn := &Fn{Name: name, Auto: fnOrig.Auto, Proc: pr, CloneOf: fnOrig.EventName()}

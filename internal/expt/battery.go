@@ -16,9 +16,14 @@ var (
 	LineSizes = []int{16, 32, 64, 128, 256}
 )
 
-// Measure holds everything one simulated run produces.
+// Measure holds everything one simulated run produces. Res, Latency and
+// GCWindows are always filled; the sink fields are filled for the groups in
+// Has and nil (or zero) for the rest.
 type Measure struct {
 	Res machine.Result
+
+	// Has is the set of sink groups this run built (see Need).
+	Has Need
 
 	// Latency is the run's per-transaction latency breakdown per home
 	// shard × transaction kind (the run-wide summary is Res.Latency).
@@ -69,9 +74,41 @@ type Measure struct {
 	Board mem.Stats
 }
 
-// battery wires up every sink for one run.
+// Need is a set of Measure sink groups: the fields of a Measure a caller
+// reads. A measurement builds only the simulators its need names, and each
+// group builds every simulator its fields depend on, so a group's numbers
+// are bit-identical to the full battery's. Res, Latency and GCWindows come
+// from the machine itself and are always filled; the empty need measures
+// them alone.
+type Need uint16
+
+// The sink groups, one per Measure field group.
+const (
+	NeedAppDM   Need = 1 << iota // AppDM
+	NeedApp4W                    // App4W
+	NeedComb4W                   // Comb4W
+	NeedKern4W                   // Kern4W
+	NeedWord                     // Word
+	NeedIntf                     // Intf
+	NeedSeqFoot                  // Seq and Foot
+	NeedRuns                     // AppRuns and AllRuns
+	NeedITLB                     // ITLB64 and ITLB48
+	NeedMem                      // HW21264 and Mem (the SimOS L1I feeds its L2)
+	NeedBoard                    // HW21164 and Board (the 21164 L1I feeds its board cache)
+
+	// NeedNone attaches no sinks: Res, Latency and GCWindows alone.
+	NeedNone Need = 0
+	// NeedAll is the paper's full battery: every group above.
+	NeedAll = NeedBoard<<1 - 1
+)
+
+// covers reports whether n includes every group of o.
+func (n Need) covers(o Need) bool { return n&o == o }
+
+// battery wires up the sinks of one run's need; the groups outside it stay
+// nil.
 type battery struct {
-	cpus int
+	need Need
 
 	appDM  map[int]map[int]*perCPUCache
 	app4W  map[int]*perCPUCache
@@ -93,122 +130,192 @@ type battery struct {
 	boardL1I *perCPUCache // 8KB/32B/direct, feeds board (doubles as 21164 L1I)
 }
 
-func newBattery(cpus int) *battery {
-	b := &battery{
-		cpus:   cpus,
-		appDM:  make(map[int]map[int]*perCPUCache),
-		app4W:  make(map[int]*perCPUCache),
-		comb4W: make(map[int]*perCPUCache),
-		kern4W: make(map[int]*perCPUCache),
-	}
-	for _, size := range CacheSizesKB {
-		b.appDM[size] = make(map[int]*perCPUCache)
-		for _, line := range LineSizes {
-			b.appDM[size][line] = newPerCPUCache(cache.Config{SizeBytes: size << 10, LineBytes: line, Assoc: 1}, cpus)
+func newBattery(cpus int, need Need) *battery {
+	b := &battery{need: need}
+	// bySize builds one 128B/4-way cache per CacheSizesKB entry.
+	bySize := func(g Need) map[int]*perCPUCache {
+		if !need.covers(g) {
+			return nil
 		}
-		b.app4W[size] = newPerCPUCache(cache.Config{SizeBytes: size << 10, LineBytes: 128, Assoc: 4}, cpus)
-		b.comb4W[size] = newPerCPUCache(cache.Config{SizeBytes: size << 10, LineBytes: 128, Assoc: 4}, cpus)
-		b.kern4W[size] = newPerCPUCache(cache.Config{SizeBytes: size << 10, LineBytes: 128, Assoc: 4}, cpus)
+		m := make(map[int]*perCPUCache, len(CacheSizesKB))
+		for _, size := range CacheSizesKB {
+			m[size] = newPerCPUCache(cache.Config{SizeBytes: size << 10, LineBytes: 128, Assoc: 4}, cpus)
+		}
+		return m
 	}
-	b.word = newPerCPUCache(cache.Config{SizeBytes: 128 << 10, LineBytes: 128, Assoc: 4, WordStats: true}, cpus)
-	b.intf = newPerCPUCache(cache.Config{SizeBytes: 128 << 10, LineBytes: 128, Assoc: 4}, cpus)
-	b.seq = trace.NewSeqLen()
-	b.foot = trace.NewFootprint(128)
-	b.appCnt = &trace.Counter{}
-	b.allCnt = &trace.Counter{}
-	b.itlb64 = newPerCPUTLB(64, cpus)
-	b.itlb48 = newPerCPUTLB(48, cpus)
-
-	b.memsys = mem.NewSystem(mem.DefaultConfig(cpus))
-	b.simosL1I = newPerCPUCache(cache.Config{SizeBytes: 64 << 10, LineBytes: 64, Assoc: 2}, cpus)
-	for c, ic := range b.simosL1I.sims {
-		cc := c
-		ic.OnMiss(func(lineAddr uint64, kernel bool) { b.memsys.FetchMiss(lineAddr, cc) })
+	b.app4W = bySize(NeedApp4W)
+	b.comb4W = bySize(NeedComb4W)
+	b.kern4W = bySize(NeedKern4W)
+	if need.covers(NeedAppDM) {
+		b.appDM = make(map[int]map[int]*perCPUCache, len(CacheSizesKB))
+		for _, size := range CacheSizesKB {
+			b.appDM[size] = make(map[int]*perCPUCache, len(LineSizes))
+			for _, line := range LineSizes {
+				b.appDM[size][line] = newPerCPUCache(cache.Config{SizeBytes: size << 10, LineBytes: line, Assoc: 1}, cpus)
+			}
+		}
 	}
-	b.board = mem.NewSystem(mem.Config{
-		CPUs:         cpus,
-		L1DSizeBytes: 8 << 10, L1DLineBytes: 32, L1DAssoc: 1,
-		L2SizeBytes: 2 << 20, L2LineBytes: 64, L2Assoc: 1,
-	})
-	b.boardL1I = newPerCPUCache(cache.Config{SizeBytes: 8 << 10, LineBytes: 32, Assoc: 1}, cpus)
-	for c, ic := range b.boardL1I.sims {
-		cc := c
-		ic.OnMiss(func(lineAddr uint64, kernel bool) { b.board.FetchMiss(lineAddr, cc) })
+	if need.covers(NeedWord) {
+		b.word = newPerCPUCache(cache.Config{SizeBytes: 128 << 10, LineBytes: 128, Assoc: 4, WordStats: true}, cpus)
+	}
+	if need.covers(NeedIntf) {
+		b.intf = newPerCPUCache(cache.Config{SizeBytes: 128 << 10, LineBytes: 128, Assoc: 4}, cpus)
+	}
+	if need.covers(NeedSeqFoot) {
+		b.seq = trace.NewSeqLen()
+		b.foot = trace.NewFootprint(128)
+	}
+	if need.covers(NeedRuns) {
+		b.appCnt = &trace.Counter{}
+		b.allCnt = &trace.Counter{}
+	}
+	if need.covers(NeedITLB) {
+		b.itlb64 = newPerCPUTLB(64, cpus)
+		b.itlb48 = newPerCPUTLB(48, cpus)
+	}
+	if need.covers(NeedMem) {
+		b.memsys = mem.NewSystem(mem.DefaultConfig(cpus))
+		b.simosL1I = newPerCPUCache(cache.Config{SizeBytes: 64 << 10, LineBytes: 64, Assoc: 2}, cpus)
+		for c, ic := range b.simosL1I.sims {
+			cc := c
+			ic.OnMiss(func(lineAddr uint64, kernel bool) { b.memsys.FetchMiss(lineAddr, cc) })
+		}
+	}
+	if need.covers(NeedBoard) {
+		b.board = mem.NewSystem(mem.Config{
+			CPUs:         cpus,
+			L1DSizeBytes: 8 << 10, L1DLineBytes: 32, L1DAssoc: 1,
+			L2SizeBytes: 2 << 20, L2LineBytes: 64, L2Assoc: 1,
+		})
+		b.boardL1I = newPerCPUCache(cache.Config{SizeBytes: 8 << 10, LineBytes: 32, Assoc: 1}, cpus)
+		for c, ic := range b.boardL1I.sims {
+			cc := c
+			ic.OnMiss(func(lineAddr uint64, kernel bool) { b.board.FetchMiss(lineAddr, cc) })
+		}
 	}
 	return b
 }
 
+// sinks returns the built fetch sinks, grouped by the stream they observe;
+// streams no built sink observes are left out.
 func (b *battery) sinks() []trace.Sink {
-	var appSinks trace.Tee
+	var app, kern, combined trace.Tee
 	for _, perLine := range b.appDM {
 		for _, c := range perLine {
-			appSinks = append(appSinks, c)
+			app = append(app, c)
 		}
 	}
 	for _, c := range b.app4W {
-		appSinks = append(appSinks, c)
+		app = append(app, c)
 	}
-	appSinks = append(appSinks, b.word, b.seq, b.foot, b.appCnt)
-
-	var kernSinks trace.Tee
 	for _, c := range b.kern4W {
-		kernSinks = append(kernSinks, c)
+		kern = append(kern, c)
 	}
-
-	var combined trace.Tee
 	for _, c := range b.comb4W {
 		combined = append(combined, c)
 	}
-	combined = append(combined, b.intf, b.allCnt,
-		b.itlb64, b.itlb48, b.simosL1I, b.boardL1I)
-
-	return []trace.Sink{
-		trace.AppOnly(appSinks),
-		trace.KernelOnly(kernSinks),
-		combined,
+	if b.word != nil {
+		app = append(app, b.word)
 	}
+	if b.seq != nil {
+		app = append(app, b.seq, b.foot)
+	}
+	if b.appCnt != nil {
+		app = append(app, b.appCnt)
+		combined = append(combined, b.allCnt)
+	}
+	if b.intf != nil {
+		combined = append(combined, b.intf)
+	}
+	if b.itlb64 != nil {
+		combined = append(combined, b.itlb64, b.itlb48)
+	}
+	if b.simosL1I != nil {
+		combined = append(combined, b.simosL1I)
+	}
+	if b.boardL1I != nil {
+		combined = append(combined, b.boardL1I)
+	}
+
+	var out []trace.Sink
+	if len(app) > 0 {
+		out = append(out, trace.AppOnly(app))
+	}
+	if len(kern) > 0 {
+		out = append(out, trace.KernelOnly(kern))
+	}
+	if len(combined) > 0 {
+		out = append(out, combined)
+	}
+	return out
 }
 
 func (b *battery) dataSinks() []trace.DataSink {
-	return []trace.DataSink{b.memsys, b.board}
+	var out []trace.DataSink
+	if b.memsys != nil {
+		out = append(out, b.memsys)
+	}
+	if b.board != nil {
+		out = append(out, b.board)
+	}
+	return out
 }
 
+// finish fills the Measure fields of the battery's need and records the
+// need in Measure.Has; the other fields stay nil or zero.
 func (b *battery) finish(res machine.Result) *Measure {
-	m := &Measure{
-		Res:    res,
-		AppDM:  make(map[int]map[int]*cache.Stats),
-		App4W:  make(map[int]*cache.Stats),
-		Comb4W: make(map[int]*cache.Stats),
-		Kern4W: make(map[int]*cache.Stats),
-	}
-	for size, perLine := range b.appDM {
-		m.AppDM[size] = make(map[int]*cache.Stats)
-		for line, c := range perLine {
-			m.AppDM[size][line] = c.stats()
+	m := &Measure{Res: res, Has: b.need}
+	if b.appDM != nil {
+		m.AppDM = make(map[int]map[int]*cache.Stats, len(b.appDM))
+		for size, perLine := range b.appDM {
+			m.AppDM[size] = make(map[int]*cache.Stats, len(perLine))
+			for line, c := range perLine {
+				m.AppDM[size][line] = c.stats()
+			}
 		}
 	}
-	for size, c := range b.app4W {
-		m.App4W[size] = c.stats()
+	m.App4W = statsBySize(b.app4W)
+	m.Comb4W = statsBySize(b.comb4W)
+	m.Kern4W = statsBySize(b.kern4W)
+	if b.word != nil {
+		m.Word = b.word.stats()
 	}
-	for size, c := range b.comb4W {
-		m.Comb4W[size] = c.stats()
+	if b.intf != nil {
+		m.Intf = b.intf.stats()
 	}
-	for size, c := range b.kern4W {
-		m.Kern4W[size] = c.stats()
+	if b.seq != nil {
+		b.seq.Flush()
+		m.Seq = b.seq
+		m.Foot = b.foot
 	}
-	m.Word = b.word.stats()
-	m.Intf = b.intf.stats()
-	b.seq.Flush()
-	m.Seq = b.seq
-	m.Foot = b.foot
-	m.AppRuns = *b.appCnt
-	m.AllRuns = *b.allCnt
-	m.ITLB64 = b.itlb64.misses()
-	m.ITLB48 = b.itlb48.misses()
-	m.HW21264 = b.simosL1I.stats()
-	m.HW21164 = b.boardL1I.stats()
-	m.Mem = b.memsys.Stats
-	m.Board = b.board.Stats
+	if b.appCnt != nil {
+		m.AppRuns = *b.appCnt
+		m.AllRuns = *b.allCnt
+	}
+	if b.itlb64 != nil {
+		m.ITLB64 = b.itlb64.misses()
+		m.ITLB48 = b.itlb48.misses()
+	}
+	if b.memsys != nil {
+		m.HW21264 = b.simosL1I.stats()
+		m.Mem = b.memsys.Stats
+	}
+	if b.board != nil {
+		m.HW21164 = b.boardL1I.stats()
+		m.Board = b.board.Stats
+	}
+	return m
+}
+
+// statsBySize merges each size's per-CPU stats; nil for a group not built.
+func statsBySize(caches map[int]*perCPUCache) map[int]*cache.Stats {
+	if caches == nil {
+		return nil
+	}
+	m := make(map[int]*cache.Stats, len(caches))
+	for size, c := range caches {
+		m[size] = c.stats()
+	}
 	return m
 }
 

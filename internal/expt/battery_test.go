@@ -6,7 +6,7 @@ import "testing"
 // battery builds against cache.Config.Validate, the check icachesim applies
 // to its flags before building a cache.
 func TestBatteryGeometriesValidate(t *testing.T) {
-	b := newBattery(1)
+	b := newBattery(1, NeedAll)
 	caches := []*perCPUCache{b.word, b.intf, b.simosL1I, b.boardL1I}
 	for _, perLine := range b.appDM {
 		for _, c := range perLine {

@@ -4,8 +4,6 @@ import (
 	"fmt"
 
 	"codelayout/internal/core"
-	"codelayout/internal/machine"
-	"codelayout/internal/program"
 	"codelayout/internal/pstore"
 	"codelayout/internal/stats"
 	"codelayout/internal/workload"
@@ -102,6 +100,11 @@ func BlendTable(o Options, spec BlendSpec) (*BlendResult, error) {
 		return nil, err
 	}
 
+	// Blends are measured like named layouts, invariants and record layout
+	// included; a grouped record layout regroups by the drifted-to mix's
+	// field profile.
+	fresh := s.Opt.resolveTrain(TrainConfig{Workload: spec.New})
+
 	all, err := core.Resolve("all")
 	if err != nil {
 		return nil, err
@@ -120,7 +123,8 @@ func BlendTable(o Options, spec BlendSpec) (*BlendResult, error) {
 		if err != nil {
 			return nil, fmt.Errorf("expt: blend ratio %v layout: %w", r, err)
 		}
-		m, err := measureLayout(s, l, cpus)
+		m, err := s.run(fresh, src.appImg, l, src.baseKern, cpus, NeedApp4W,
+			fmt.Sprintf("blend %v/kbase/%dcpu", r, cpus))
 		if err != nil {
 			return nil, fmt.Errorf("expt: blend ratio %v: %w", r, err)
 		}
@@ -140,25 +144,4 @@ func BlendTable(o Options, spec BlendSpec) (*BlendResult, error) {
 	t.Note("weight 0 is the stale profile alone, weight 1 the fresh one; the knee locates how much aged profile a store can keep blending in")
 	res.Table = t
 	return res, nil
-}
-
-// measureLayout runs the session's measurement battery over an ad-hoc layout
-// (one built outside the named-layout memo, like a blend).
-func measureLayout(s *Session, appL *program.Layout, cpus int) (*Measure, error) {
-	bat := newBattery(cpus)
-	cfg := s.machineConfig(s.src.appImg, appL, s.src.baseKern, cpus)
-	cfg.Sinks = bat.sinks()
-	cfg.DataSinks = bat.dataSinks()
-	mach, err := machine.New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	r, err := mach.Run()
-	if err != nil {
-		return nil, err
-	}
-	m := bat.finish(r)
-	m.Latency = mach.LatencyByKind()
-	m.GCWindows = mach.GroupCommitWindows()
-	return m, nil
 }

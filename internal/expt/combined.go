@@ -140,7 +140,7 @@ func fig15(s *Session) ([]*stats.Table, error) {
 		return nil, err
 	}
 	b264, b164 := counts21264(base), counts21164(base)
-	if err := s.MeasureBatch(comboNamesExt, 1, 0); err != nil {
+	if err := s.MeasureBatch(comboNamesExt, 1, 0, NeedAll); err != nil {
 		return nil, err
 	}
 	for _, name := range comboNamesExt {

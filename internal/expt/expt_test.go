@@ -136,7 +136,7 @@ func TestMeasureBatchParallel(t *testing.T) {
 	}
 	s := session(t)
 	names := []string{"base", "chain", "porder"}
-	if err := s.MeasureBatch(names, s.Opt.CPUs, 2); err != nil {
+	if err := s.MeasureBatch(names, s.Opt.CPUs, 2, expt.NeedAll); err != nil {
 		t.Fatal(err)
 	}
 	// Serial calls must now be memo hits returning the identical objects.

@@ -137,7 +137,7 @@ func fig06(s *Session) ([]*stats.Table, error) {
 func fig07(s *Session) ([]*stats.Table, error) {
 	t := stats.NewTable("Figure 7: application icache misses per optimization (128B lines, 4-way)",
 		append([]string{"combo"}, sizeCols()...)...)
-	if err := s.MeasureBatch(comboNamesExt, s.Opt.CPUs, 0); err != nil {
+	if err := s.MeasureBatch(comboNamesExt, s.Opt.CPUs, 0, NeedAll); err != nil {
 		return nil, err
 	}
 	for _, name := range comboNamesExt {

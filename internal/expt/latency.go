@@ -84,7 +84,7 @@ func LatencyTables(o Options, spec LatencySpec) ([]*stats.Table, error) {
 			}
 			cell := make(map[string]*Measure, len(layouts))
 			for _, layout := range layouts {
-				m, err := s.Measure(layout, cpus)
+				m, err := s.MeasureNeed(layout, cpus, NeedNone)
 				if err != nil {
 					return nil, fmt.Errorf("latency %s/s%d layout=%s: %w", wl.Name(), n, layout, err)
 				}

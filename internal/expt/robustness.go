@@ -107,14 +107,14 @@ func Robustness(o Options, spec RobustnessSpec) (*RobustnessResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		base, err := s.Measure("base", cpus)
+		base, err := s.MeasureNeed("base", cpus, NeedApp4W)
 		if err != nil {
 			return nil, fmt.Errorf("baseline for eval %s/s%d: %w", eval.w.Name(), eval.shards, err)
 		}
 		baseMiss := base.App4W[64].MissRate()
 		for _, train := range cells {
 			tc := TrainConfig{Workload: train.w, Shards: train.shards}
-			m, err := s.MeasureFrom(tc, spec.Layout, cpus)
+			m, err := s.measureFor(s.Opt.resolveTrain(tc), spec.Layout, "kbase", cpus, NeedApp4W)
 			if err != nil {
 				return nil, fmt.Errorf("train %s/s%d eval %s/s%d: %w",
 					train.w.Name(), train.shards, eval.w.Name(), eval.shards, err)
@@ -314,6 +314,12 @@ func ShardSweepTable(o Options, spec ShardSweepSpec) (*stats.Table, error) {
 			"blocked-on-log", "predicted", "mispredicted", "cross-shard"}
 	}
 	t := stats.NewTable(title, cols...)
+	// The fast-path columns come from Res alone; the plain sweep adds the
+	// app and kernel miss ratios.
+	need := NeedApp4W | NeedKern4W
+	if spec.FastPath {
+		need = NeedNone
+	}
 
 	for _, n := range shardCounts {
 		eo := o
@@ -332,7 +338,7 @@ func ShardSweepTable(o Options, spec ShardSweepSpec) (*stats.Table, error) {
 			}
 		}
 		for _, layout := range layouts {
-			mOff, err := off.Measure(layout, cpus)
+			mOff, err := off.MeasureNeed(layout, cpus, need)
 			if err != nil {
 				return nil, fmt.Errorf("shards=%d layout=%s: %w", n, layout, err)
 			}
@@ -352,7 +358,7 @@ func ShardSweepTable(o Options, spec ShardSweepSpec) (*stats.Table, error) {
 					mOff.Res.LogBlockedInstr, "-", "-", mOff.Res.CrossShard)
 				continue
 			}
-			mOn, err := on.Measure(layout, cpus)
+			mOn, err := on.MeasureNeed(layout, cpus, need)
 			if err != nil {
 				return nil, fmt.Errorf("shards=%d layout=%s fastpath: %w", n, layout, err)
 			}

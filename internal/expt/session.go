@@ -457,16 +457,28 @@ func (s *Session) machineConfig(appImg *codegen.Image, appL, kernL *program.Layo
 
 // Measure runs (or returns the memoized run of) the workload under the
 // named layout (default train config) with the full measurement battery
-// attached.
+// attached: it is MeasureNeed with NeedAll, the need of the paper's figures.
 func (s *Session) Measure(layout string, cpus int) (*Measure, error) {
-	return s.measureFor(s.defTrain, layout, "kbase", cpus)
+	return s.measureFor(s.defTrain, layout, "kbase", cpus, NeedAll)
+}
+
+// MeasureNeed is Measure with only the sink groups of need attached: the
+// returned Measure fills Res, Latency, GCWindows and the fields of need (see
+// Measure.Has), and costs only those simulators. Callers that read few
+// fields — the search objectives, the latency and sweep tables — declare
+// them here. The memo keeps one entry per key: a memoized run whose Has
+// covers need is a hit, and any other call re-runs the measurement at the
+// union of both needs (a miss) and replaces the entry, so a later NeedAll
+// Measure of a key first measured with a small need costs one more run.
+func (s *Session) MeasureNeed(layout string, cpus int, need Need) (*Measure, error) {
+	return s.measureFor(s.defTrain, layout, "kbase", cpus, need)
 }
 
 // MeasureFrom is Measure with an explicit training configuration: it
 // evaluates the layout trained under tc against the session's own
 // measurement configuration — the train/eval mismatch experiments.
 func (s *Session) MeasureFrom(tc TrainConfig, layout string, cpus int) (*Measure, error) {
-	return s.measureFor(s.Opt.resolveTrain(tc), layout, "kbase", cpus)
+	return s.measureFor(s.Opt.resolveTrain(tc), layout, "kbase", cpus, NeedAll)
 }
 
 // MeasureKern is Measure with an explicit kernel layout. Concurrent calls
@@ -474,15 +486,19 @@ func (s *Session) MeasureFrom(tc TrainConfig, layout string, cpus int) (*Measure
 // the first caller runs it, later callers block until the result (or error)
 // is memoized.
 func (s *Session) MeasureKern(layout, kern string, cpus int) (*Measure, error) {
-	return s.measureFor(s.defTrain, layout, kern, cpus)
+	return s.measureFor(s.defTrain, layout, kern, cpus, NeedAll)
 }
 
 // MeasureKernFrom is MeasureKern with an explicit training configuration.
 func (s *Session) MeasureKernFrom(tc TrainConfig, layout, kern string, cpus int) (*Measure, error) {
-	return s.measureFor(s.Opt.resolveTrain(tc), layout, kern, cpus)
+	return s.measureFor(s.Opt.resolveTrain(tc), layout, kern, cpus, NeedAll)
 }
 
-func (s *Session) measureFor(tc TrainConfig, layout, kern string, cpus int) (*Measure, error) {
+// measureFor is the memoized measurement every Measure variant goes through.
+// A memo entry serves every need its Has covers; an uncovered need re-runs
+// the key at the union of the entry's groups and the need and replaces the
+// entry. Waiters on an in-flight run re-check coverage once it lands.
+func (s *Session) measureFor(tc TrainConfig, layout, kern string, cpus int, need Need) (*Measure, error) {
 	id, pl, err := resolveLayout(layout)
 	if err != nil {
 		return nil, err
@@ -503,7 +519,8 @@ func (s *Session) measureFor(tc TrainConfig, layout, kern string, cpus int) (*Me
 	}
 	for {
 		s.mu.Lock()
-		if m, ok := s.measures[key]; ok {
+		m, ok := s.measures[key]
+		if ok && m.Has.covers(need) {
 			s.measHits++
 			s.mu.Unlock()
 			return m, nil
@@ -517,12 +534,16 @@ func (s *Session) measureFor(tc TrainConfig, layout, kern string, cpus int) (*Me
 			<-ch // someone else is running this measurement
 			continue
 		}
+		run := need
+		if ok {
+			run |= m.Has // an upgrade keeps what the entry already served
+		}
 		ch := make(chan struct{})
 		s.inflight[key] = ch
 		s.measMisses++
 		s.mu.Unlock()
 
-		meas, err := s.measure(tc, id, pl, kern, cpus)
+		meas, err := s.measureNamed(tc, id, pl, kern, cpus, run)
 		s.mu.Lock()
 		if err != nil {
 			s.measErr[key] = err
@@ -536,20 +557,30 @@ func (s *Session) measureFor(tc TrainConfig, layout, kern string, cpus int) (*Me
 	}
 }
 
-func (s *Session) measure(tc TrainConfig, id layoutID, pl core.Pipeline, kern string, cpus int) (*Measure, error) {
+// measureNamed builds (or fetches) the named layouts and runs them.
+func (s *Session) measureNamed(tc TrainConfig, id layoutID, pl core.Pipeline, kern string, cpus int, need Need) (*Measure, error) {
 	appL, err := s.src.build(tc, id, pl)
 	if err != nil {
 		return nil, err
 	}
-	var kernL *program.Layout
-	kernL, err = s.src.kernLayout(tc, kern)
+	kernL, err := s.src.kernLayout(tc, kern)
 	if err != nil {
 		return nil, err
 	}
-	bat := newBattery(cpus)
+	what := fmt.Sprintf("%s/%s/%dcpu (train %s)", id.spec, kern, cpus, tc.Spec())
 	// A fused layout addresses cloned blocks that exist only in its
 	// specialized image; every other layout runs over the shared image.
-	cfg := s.machineConfig(s.src.appImageFor(tc, id), appL, kernL, cpus)
+	return s.run(tc, s.src.appImageFor(tc, id), appL, kernL, cpus, need, what)
+}
+
+// run is the one measurement run: the session's machine over the given
+// images and layouts, with the sinks of need attached and the physical
+// record layout the session asks for (grouped layouts regroup by tc's field
+// profile). It checks the engine invariants after the run. what names the
+// run in errors.
+func (s *Session) run(tc TrainConfig, appImg *codegen.Image, appL, kernL *program.Layout, cpus int, need Need, what string) (*Measure, error) {
+	bat := newBattery(cpus, need)
+	cfg := s.machineConfig(appImg, appL, kernL, cpus)
 	cfg.Sinks = bat.sinks()
 	cfg.DataSinks = bat.dataSinks()
 	if s.recordLayout() == "grouped" {
@@ -568,10 +599,10 @@ func (s *Session) measure(tc TrainConfig, id layoutID, pl core.Pipeline, kern st
 	}
 	res, err := mach.Run()
 	if err != nil {
-		return nil, fmt.Errorf("expt: measuring %s/%s/%dcpu (train %s): %w", id.spec, kern, cpus, tc.Spec(), err)
+		return nil, fmt.Errorf("expt: measuring %s: %w", what, err)
 	}
 	if err := mach.CheckInvariants(); err != nil {
-		return nil, fmt.Errorf("expt: measuring %s/%s/%dcpu (train %s): %w", id.spec, kern, cpus, tc.Spec(), err)
+		return nil, fmt.Errorf("expt: measuring %s: %w", what, err)
 	}
 	meas := bat.finish(res)
 	meas.Latency = mach.LatencyByKind()
@@ -580,10 +611,12 @@ func (s *Session) measure(tc TrainConfig, id layoutID, pl core.Pipeline, kern st
 }
 
 // MeasureBatch measures every named layout concurrently with a bounded
-// worker pool (workers <= 0 picks min(GOMAXPROCS, len(layouts))). Each
-// result lands in the memo, so subsequent serial Measure calls are hits. The
-// first error is returned after all workers drain.
-func (s *Session) MeasureBatch(layouts []string, cpus, workers int) error {
+// worker pool (workers <= 0 picks min(GOMAXPROCS, len(layouts))), each with
+// the sink groups of need (NeedAll for the full battery; see MeasureNeed).
+// Each result lands in the memo, so subsequent MeasureNeed calls with a
+// need it covers are hits. The first error is returned after all workers
+// drain.
+func (s *Session) MeasureBatch(layouts []string, cpus, workers int, need Need) error {
 	if len(layouts) == 0 {
 		return nil
 	}
@@ -607,7 +640,7 @@ func (s *Session) MeasureBatch(layouts []string, cpus, workers int) error {
 		go func() {
 			defer wg.Done()
 			for name := range jobs {
-				_, err := s.Measure(name, cpus)
+				_, err := s.MeasureNeed(name, cpus, need)
 				errs <- err
 			}
 		}()

@@ -43,7 +43,7 @@ func TestOrderEntryPipelinesReduceMisses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.MeasureBatch([]string{"base", "all", "cfa", "ipchain"}, s.Opt.CPUs, 0); err != nil {
+	if err := s.MeasureBatch([]string{"base", "all", "cfa", "ipchain"}, s.Opt.CPUs, 0, expt.NeedAll); err != nil {
 		t.Fatal(err)
 	}
 	base, err := s.Measure("base", s.Opt.CPUs)
@@ -97,7 +97,7 @@ func TestMeasureDeterminism(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if err := s.MeasureBatch(layouts, s.Opt.CPUs, 2); err != nil {
+				if err := s.MeasureBatch(layouts, s.Opt.CPUs, 2, expt.NeedAll); err != nil {
 					t.Fatal(err)
 				}
 				var out []*expt.Measure

@@ -64,6 +64,17 @@ func (o Objective) score(m *expt.Measure) float64 {
 	}
 }
 
+// need is the set of measurement sink groups score reads: the miss ratio
+// reads the app L1I battery, the clock objectives read the machine's Result
+// alone (its fetch-stall L1I is inline in the machine), so they run no
+// battery sinks at all.
+func (o Objective) need() expt.Need {
+	if o == ObjectiveMissRatio {
+		return expt.NeedApp4W
+	}
+	return expt.NeedNone
+}
+
 // Label is the objective's table-column label.
 func (o Objective) Label() string {
 	switch o {
@@ -253,7 +264,7 @@ type evaluator struct {
 // in-flight dedup collapse them.
 func (ev *evaluator) measureWave(specs []string) ([]Scored, error) {
 	for _, s := range ev.sessions {
-		if err := s.MeasureBatch(specs, ev.cpus, ev.workers); err != nil {
+		if err := s.MeasureBatch(specs, ev.cpus, ev.workers, ev.obj.need()); err != nil {
 			return nil, err
 		}
 	}
@@ -262,7 +273,7 @@ func (ev *evaluator) measureWave(specs []string) ([]Scored, error) {
 		sc := Scored{Spec: spec, PerWorkload: make(map[string]float64, len(ev.cases))}
 		var sum, wsum float64
 		for i, s := range ev.sessions {
-			m, err := s.Measure(spec, ev.cpus) // memo hit: the wave ran it
+			m, err := s.MeasureNeed(spec, ev.cpus, ev.obj.need()) // memo hit: the wave ran it
 			if err != nil {
 				return nil, err
 			}
@@ -359,10 +370,10 @@ func Run(o expt.Options, cfg Config) (*Result, error) {
 	// fitness normalization, ipchain/fusion are the bars to beat.
 	baselineNames := []string{"base", "ipchain", "fusion"}
 	for i, s := range ev.sessions {
-		if err := s.MeasureBatch(baselineNames, ev.cpus, cfg.Workers); err != nil {
+		if err := s.MeasureBatch(baselineNames, ev.cpus, cfg.Workers, cfg.Objective.need()); err != nil {
 			return nil, err
 		}
-		m, err := s.Measure("base", ev.cpus)
+		m, err := s.MeasureNeed("base", ev.cpus, cfg.Objective.need())
 		if err != nil {
 			return nil, err
 		}
