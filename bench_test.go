@@ -24,6 +24,7 @@ import (
 	"codelayout/internal/codegen"
 	"codelayout/internal/core"
 	"codelayout/internal/expt"
+	"codelayout/internal/isa"
 	"codelayout/internal/kernel"
 	"codelayout/internal/machine"
 	"codelayout/internal/ordere"
@@ -97,19 +98,32 @@ func BenchmarkAblation_SamplingProfile(b *testing.B) { benchFigure(b, "abl-profi
 
 // ---- Microbenchmarks of the core components ----
 
-// BenchmarkICacheFetch measures raw cache-simulator throughput.
+// BenchmarkICacheFetch measures raw cache-simulator throughput on a random
+// stream of fetch runs over 1MB with almost no reuse, in two geometries: the
+// 64KB/128B/4-way I-cache and the 64-entry iTLB (one fully associative set of
+// pages).
 func BenchmarkICacheFetch(b *testing.B) {
-	c := cache.New(cache.Config{SizeBytes: 64 << 10, LineBytes: 128, Assoc: 4})
 	r := rand.New(rand.NewSource(1))
 	runs := make([]trace.FetchRun, 4096)
 	for i := range runs {
 		runs[i] = trace.FetchRun{Addr: uint64(r.Intn(1<<20)) &^ 3, Words: int32(1 + r.Intn(16))}
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c.Fetch(runs[i&4095])
+	for _, bc := range []struct {
+		name string
+		cfg  cache.Config
+	}{
+		{"icache64KB-128B-4way", cache.Config{SizeBytes: 64 << 10, LineBytes: 128, Assoc: 4}},
+		{"itlb64", cache.Config{SizeBytes: 64 * isa.PageBytes, LineBytes: isa.PageBytes, Assoc: 64}},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			c := cache.New(bc.cfg)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				c.Fetch(runs[i&4095])
+			}
+			b.ReportMetric(float64(c.Stats().MissRate()*100), "miss%")
+		})
 	}
-	b.ReportMetric(float64(c.Stats().MissRate()*100), "miss%")
 }
 
 // BenchmarkChainProc measures the chaining pass.

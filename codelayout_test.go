@@ -5,7 +5,11 @@ import (
 	"testing"
 
 	"codelayout"
+	"codelayout/internal/appmodel"
+	"codelayout/internal/kernel"
+	"codelayout/internal/machine"
 	"codelayout/internal/progtest"
+	"codelayout/internal/tpcb"
 )
 
 func TestFacadeOptimizePipeline(t *testing.T) {
@@ -58,58 +62,39 @@ func TestFacadePassPipeline(t *testing.T) {
 	if _, _, err := codelayout.Optimize(p, pf, "nope"); err == nil {
 		t.Fatal("expected error for an unknown combo")
 	}
-	names := codelayout.RegisteredPasses()
-	if len(names) < 7 {
-		t.Fatalf("registered passes = %v", names)
-	}
 }
 
+// TestFacadeCombosMatchPaper: the paper's six combinations are reachable by
+// name through the facade's Optimize, each giving a valid layout.
 func TestFacadeCombosMatchPaper(t *testing.T) {
-	names := make([]string, 0, 6)
-	for _, c := range codelayout.Combos() {
-		names = append(names, c.Name)
-	}
-	want := []string{"base", "porder", "chain", "chain+split", "chain+porder", "all"}
-	for i, n := range want {
-		if names[i] != n {
-			t.Fatalf("combo %d = %q, want %q", i, names[i], n)
+	r := rand.New(rand.NewSource(3))
+	p := progtest.RandProgram(r, 6)
+	pf := progtest.RandProfile(r, p, 20, 300)
+	for _, name := range []string{"base", "porder", "chain", "chain+split", "chain+porder", "all"} {
+		l, _, err := codelayout.Optimize(p, pf, name)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if err := l.Validate(); err != nil {
+			t.Fatalf("%s: %v", name, err)
 		}
 	}
 }
 
-func TestFacadeImageBuilders(t *testing.T) {
-	cfg := codelayout.DefaultImageConfig(1)
-	cfg.LibScale = 0.15
-	cfg.ColdWords = 50_000
-	img, err := codelayout.BuildOLTPImage(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if img.Prog.FindProc("tpcb_txn") == nil {
-		t.Fatal("missing tpcb_txn")
-	}
-	kcfg := codelayout.DefaultKernelConfig(2)
-	kcfg.ColdWords = 20_000
-	kern, err := codelayout.BuildKernelImage(kcfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if kern.Prog.FindProc("svc_log_write") == nil {
-		t.Fatal("missing svc_log_write")
-	}
-}
-
+// TestFacadeMachineRun drives the facade's profile-and-optimize loop end to
+// end: images and the machine come from the internal packages, the layouts,
+// the profile collector and the optimization from the facade.
 func TestFacadeMachineRun(t *testing.T) {
-	cfg := codelayout.DefaultImageConfig(1)
+	cfg := appmodel.DefaultConfig(1, tpcb.New())
 	cfg.LibScale = 0.15
 	cfg.ColdWords = 50_000
-	img, err := codelayout.BuildOLTPImage(cfg)
+	img, err := appmodel.Build(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	kcfg := codelayout.DefaultKernelConfig(2)
+	kcfg := kernel.DefaultConfig(2)
 	kcfg.ColdWords = 20_000
-	kern, err := codelayout.BuildKernelImage(kcfg)
+	kern, err := kernel.Build(kcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,10 +107,10 @@ func TestFacadeMachineRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	px := codelayout.NewPixie(img.Prog, "train")
-	m, err := codelayout.NewMachine(codelayout.MachineConfig{
+	m, err := machine.New(machine.Config{
 		CPUs: 1, ProcsPerCPU: 2, Seed: 3,
 		WarmupTxns: 2, Transactions: 20,
-		Workload: codelayout.TPCBScaled(codelayout.Scale{Branches: 3, TellersPerBranch: 3, AccountsPerBranch: 100}),
+		Workload: tpcb.NewScaled(tpcb.Scale{Branches: 3, TellersPerBranch: 3, AccountsPerBranch: 100}),
 		AppImage: img, AppLayout: appL,
 		KernImage: kern, KernLayout: kernL,
 		AppCollector: px,
@@ -150,13 +135,6 @@ func TestFacadeMachineRun(t *testing.T) {
 	}
 }
 
-func TestFacadeExperimentIDs(t *testing.T) {
-	ids := codelayout.ExperimentIDs()
-	if len(ids) != 20 {
-		t.Fatalf("experiments = %d", len(ids))
-	}
-}
-
 func TestFacadeWorkloadRegistry(t *testing.T) {
 	names := codelayout.Workloads()
 	want := map[string]bool{"tpcb": false, "ordere": false, "ycsb": false}
@@ -169,9 +147,6 @@ func TestFacadeWorkloadRegistry(t *testing.T) {
 		if !seen {
 			t.Fatalf("workload %q not registered (have %v)", n, names)
 		}
-	}
-	if codelayout.TPCB().Name() != "tpcb" {
-		t.Fatal("TPCB() helper broken")
 	}
 	if codelayout.YCSB().Name() != "ycsb" {
 		t.Fatal("YCSB() helper broken")
@@ -223,7 +198,7 @@ func TestFacadeTrainEvalSeam(t *testing.T) {
 	o.LibScale = 0.2
 	o.ColdWords = 200_000
 	o.KernColdWords = 60_000
-	o.Workload = codelayout.TPCBScaled(codelayout.Scale{Branches: 4, TellersPerBranch: 3, AccountsPerBranch: 100})
+	o.Workload = tpcb.NewScaled(tpcb.Scale{Branches: 4, TellersPerBranch: 3, AccountsPerBranch: 100})
 	stock := codelayout.YCSB().QuickScale()
 	src, err := codelayout.NewProfileSource(o, stock)
 	if err != nil {

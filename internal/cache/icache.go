@@ -1,13 +1,15 @@
-// Package cache implements the instruction-cache simulator used for every
-// miss study in the paper, including the specialized metrics of Section 4.2:
-// unique-word usage before replacement (Fig 9), per-word reuse counts
-// (Fig 10), cache line lifetimes in cache accesses (Fig 11), unique-line
-// footprint, and the application/kernel interference attribution of Fig 13.
+// Package cache implements the set-associative LRU core (Sets) under every
+// cache model in the repository, and on it the instruction-cache simulator
+// used for every I-cache and iTLB miss study in the paper (an iTLB is one
+// fully associative set of page-sized lines). The simulator adds the
+// specialized metrics of Section 4.2: unique-word usage before replacement
+// (Fig 9), per-word reuse counts (Fig 10), cache line lifetimes in cache
+// accesses (Fig 11), unique-line footprint, and the application/kernel
+// interference attribution of Fig 13.
 package cache
 
 import (
 	"fmt"
-	"math/bits"
 
 	"codelayout/internal/isa"
 	"codelayout/internal/stats"
@@ -149,49 +151,35 @@ func (s *Stats) UnusedFetchedFrac() float64 {
 	return 1 - float64(s.UsedWordSlots)/float64(s.FetchedWords)
 }
 
-// ICache simulates one instruction cache with LRU replacement.
+// ICache simulates one instruction cache with LRU replacement: the Sets
+// core, with the filling owner in each frame's metadata byte, plus miss
+// attribution and the word-level metrics.
 type ICache struct {
 	cfg       Config
-	lineShift uint
-	setMask   uint64
-	assoc     int
+	sets      Sets
 	lineWords int
-	numSets   int
 
-	// Frame state, flattened as set*assoc+way.
-	tags    []uint64 // line number + 1; 0 = invalid
-	lastUse []uint64
+	// Per-frame word state (WordStats only).
 	fillAt  []uint64
-	owner   []Owner
-	wordCnt []uint8 // frames × lineWords saturating counters (WordStats)
+	wordCnt []uint8 // frames × lineWords saturating counters
 	missCB  func(lineAddr uint64, kernel bool)
 
-	clock uint64
 	stats *Stats
 }
 
 // New creates an instruction cache simulator. It panics on a geometry
 // Validate rejects; check user-supplied configs with Validate first.
 func New(cfg Config) *ICache {
-	if err := cfg.Validate(); err != nil {
-		panic(err)
-	}
-	numSets := cfg.SizeBytes / (cfg.LineBytes * cfg.Assoc)
 	c := &ICache{
 		cfg:       cfg,
-		lineShift: uint(bits.TrailingZeros(uint(cfg.LineBytes))),
-		setMask:   uint64(numSets - 1),
-		assoc:     cfg.Assoc,
+		sets:      *NewSets(cfg),
 		lineWords: cfg.LineBytes / isa.WordBytes,
-		numSets:   numSets,
-		tags:      make([]uint64, numSets*cfg.Assoc),
-		lastUse:   make([]uint64, numSets*cfg.Assoc),
-		fillAt:    make([]uint64, numSets*cfg.Assoc),
-		owner:     make([]Owner, numSets*cfg.Assoc),
 		stats:     NewStats(cfg),
 	}
 	if cfg.WordStats {
-		c.wordCnt = make([]uint8, numSets*cfg.Assoc*c.lineWords)
+		frames := len(c.sets.tags)
+		c.fillAt = make([]uint64, frames)
+		c.wordCnt = make([]uint8, frames*c.lineWords)
 	}
 	return c
 }
@@ -206,18 +194,18 @@ func (c *ICache) OnMiss(cb func(lineAddr uint64, kernel bool)) { c.missCB = cb }
 // Fetch implements trace.Sink: it touches every line the run covers and, if
 // word stats are enabled, marks each fetched word used.
 func (c *ICache) Fetch(r trace.FetchRun) {
-	first := r.Addr >> c.lineShift
-	last := (r.End() - 1) >> c.lineShift
+	first := c.sets.LineOf(r.Addr)
+	last := c.sets.LineOf(r.End() - 1)
 	for ln := first; ln <= last; ln++ {
 		frame := c.access(ln, r.Kernel)
 		if c.wordCnt != nil {
-			lineStart := ln << c.lineShift
+			lineStart := c.sets.LineAddr(ln)
 			w0 := 0
 			if r.Addr > lineStart {
 				w0 = int(r.Addr-lineStart) / isa.WordBytes
 			}
 			w1 := c.lineWords - 1
-			if end := (ln + 1) << c.lineShift; r.End() < end {
+			if end := c.sets.LineAddr(ln + 1); r.End() < end {
 				w1 = int(r.End()-lineStart)/isa.WordBytes - 1
 			}
 			base := frame * c.lineWords
@@ -240,60 +228,36 @@ func (c *ICache) FetchMisses(r trace.FetchRun) int {
 
 // access looks up one line and returns the frame index holding it.
 func (c *ICache) access(line uint64, kernel bool) int {
-	c.clock++
 	c.stats.Accesses++
-	set := int(line & c.setMask)
-	base := set * c.assoc
-	tag := line + 1
-	victim := base
-	for w := 0; w < c.assoc; w++ {
-		f := base + w
-		switch {
-		case c.tags[f] == tag:
-			c.lastUse[f] = c.clock
-			return f
-		case c.tags[f] == 0:
-			victim = f
-		case c.tags[victim] != 0 && c.lastUse[f] < c.lastUse[victim]:
-			victim = f
-		}
-	}
-	// Miss.
-	c.stats.Misses++
 	miss := OwnerApp
 	if kernel {
 		miss = OwnerKernel
 	}
+	f, hit, victim, hadVictim := c.sets.Access(line, uint8(miss))
+	if hit {
+		return f
+	}
+	c.stats.Misses++
 	c.stats.MissBy[miss]++
-	if c.tags[victim] == 0 {
-		c.stats.VictimBy[miss][OwnerNone]++
+	if hadVictim {
+		c.stats.VictimBy[miss][victim]++
+		c.retire(f)
 	} else {
-		c.stats.VictimBy[miss][c.owner[victim]]++
-		c.retire(victim)
+		c.stats.VictimBy[miss][OwnerNone]++
 	}
-	c.fill(victim, tag, miss)
-	if c.missCB != nil {
-		c.missCB(line<<c.lineShift, kernel)
-	}
-	return victim
-}
-
-func (c *ICache) fill(f int, tag uint64, owner Owner) {
-	c.tags[f] = tag
-	c.lastUse[f] = c.clock
-	c.fillAt[f] = c.clock
-	c.owner[f] = owner
 	c.stats.Fills++
 	if c.wordCnt != nil {
-		base := f * c.lineWords
-		for w := 0; w < c.lineWords; w++ {
-			c.wordCnt[base+w] = 0
-		}
+		c.fillAt[f] = c.sets.clock
+		clear(c.wordCnt[f*c.lineWords : (f+1)*c.lineWords])
 		c.stats.FetchedWords += uint64(c.lineWords)
 	}
+	if c.missCB != nil {
+		c.missCB(c.sets.LineAddr(line), kernel)
+	}
+	return f
 }
 
-// retire records replacement-time metrics for a valid frame.
+// retire records replacement-time metrics for a frame whose line is leaving.
 func (c *ICache) retire(f int) {
 	if c.wordCnt == nil {
 		return
@@ -309,7 +273,7 @@ func (c *ICache) retire(f int) {
 	}
 	c.stats.WordsUsed.Add(used)
 	c.stats.UsedWordSlots += uint64(used)
-	c.stats.Lifetime.Add(c.clock - c.fillAt[f])
+	c.stats.Lifetime.Add(c.sets.clock - c.fillAt[f])
 }
 
 // Finalize folds still-resident lines into the replacement-time metrics so
@@ -319,10 +283,10 @@ func (c *ICache) Finalize() {
 	if c.wordCnt == nil {
 		return
 	}
-	for f, tag := range c.tags {
+	for f, tag := range c.sets.tags {
 		if tag != 0 {
 			c.retire(f)
-			c.tags[f] = 0
+			c.sets.tags[f] = 0
 		}
 	}
 }

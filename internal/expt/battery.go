@@ -2,9 +2,9 @@ package expt
 
 import (
 	"codelayout/internal/cache"
+	"codelayout/internal/isa"
 	"codelayout/internal/machine"
 	"codelayout/internal/mem"
-	"codelayout/internal/tlb"
 	"codelayout/internal/trace"
 )
 
@@ -121,8 +121,8 @@ type battery struct {
 	foot   *trace.Footprint
 	appCnt *trace.Counter
 	allCnt *trace.Counter
-	itlb64 *perCPUTLB
-	itlb48 *perCPUTLB
+	itlb64 *perCPUCache // iTLBs: fully associative caches of pages
+	itlb48 *perCPUCache
 	memsys *mem.System
 	board  *mem.System
 
@@ -170,8 +170,8 @@ func newBattery(cpus int, need Need) *battery {
 		b.allCnt = &trace.Counter{}
 	}
 	if need.covers(NeedITLB) {
-		b.itlb64 = newPerCPUTLB(64, cpus)
-		b.itlb48 = newPerCPUTLB(48, cpus)
+		b.itlb64 = newPerCPUCache(itlbConfig(64), cpus)
+		b.itlb48 = newPerCPUCache(itlbConfig(48), cpus)
 	}
 	if need.covers(NeedMem) {
 		b.memsys = mem.NewSystem(mem.DefaultConfig(cpus))
@@ -293,8 +293,8 @@ func (b *battery) finish(res machine.Result) *Measure {
 		m.AllRuns = *b.allCnt
 	}
 	if b.itlb64 != nil {
-		m.ITLB64 = b.itlb64.misses()
-		m.ITLB48 = b.itlb48.misses()
+		m.ITLB64 = b.itlb64.stats().Misses
+		m.ITLB48 = b.itlb48.stats().Misses
 	}
 	if b.memsys != nil {
 		m.HW21264 = b.simosL1I.stats()
@@ -317,6 +317,12 @@ func statsBySize(caches map[int]*perCPUCache) map[int]*cache.Stats {
 		m[size] = c.stats()
 	}
 	return m
+}
+
+// itlbConfig is an iTLB of the given number of entries as a cache: one fully
+// associative set of page-sized lines.
+func itlbConfig(entries int) cache.Config {
+	return cache.Config{SizeBytes: entries * isa.PageBytes, LineBytes: isa.PageBytes, Assoc: entries}
 }
 
 // perCPUCache routes runs to one ICache per CPU and merges their stats.
@@ -349,34 +355,4 @@ func (p *perCPUCache) stats() *cache.Stats {
 		merged.Merge(c.Stats())
 	}
 	return merged
-}
-
-// perCPUTLB routes runs to one iTLB per CPU.
-type perCPUTLB struct {
-	tlbs []*tlb.TLB
-}
-
-func newPerCPUTLB(entries, cpus int) *perCPUTLB {
-	p := &perCPUTLB{}
-	for i := 0; i < cpus; i++ {
-		p.tlbs = append(p.tlbs, tlb.New(entries))
-	}
-	return p
-}
-
-// Fetch implements trace.Sink.
-func (p *perCPUTLB) Fetch(r trace.FetchRun) {
-	i := int(r.CPU)
-	if i >= len(p.tlbs) {
-		i = len(p.tlbs) - 1
-	}
-	p.tlbs[i].Fetch(r)
-}
-
-func (p *perCPUTLB) misses() uint64 {
-	var n uint64
-	for _, t := range p.tlbs {
-		n += t.Misses
-	}
-	return n
 }

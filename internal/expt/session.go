@@ -83,6 +83,12 @@ type Options struct {
 	// fetch-bandwidth clock. It keys the measurement memos: latency
 	// comparisons between layouts (fusion vs ipchain) need a non-zero
 	// penalty for locality to show up in per-transaction latency at all.
+	// The machine's inline L1I has the geometry of the battery's SimOS L1I
+	// (Measure.HW21264) and fetches the same combined per-CPU stream, so at
+	// WarmupTxns 0 Res.FetchStallInstr / penalty equals HW21264.Misses. With
+	// warmup they differ: warmup fetches warm the inline cache, while the
+	// sinks observe only the measured phase (quick tpcb base with 40 warmup
+	// transactions: 113240 stall misses against 114199).
 	FetchStallPenaltyInstr uint64
 
 	// Workload is the transaction mix every measured run in the session

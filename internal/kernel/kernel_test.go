@@ -24,6 +24,9 @@ func TestBuildAndRunAllServices(t *testing.T) {
 		kernel.SvcLockSleep, kernel.SvcTimer, kernel.SvcSwitch,
 	}
 	for _, svc := range services {
+		if img.Prog.FindProc(svc) == nil {
+			t.Fatalf("image missing service procedure %s", svc)
+		}
 		before := em.Instructions
 		for i := 0; i < 10; i++ {
 			em.RunAuto(svc)

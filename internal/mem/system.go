@@ -1,6 +1,12 @@
+// Package mem models the memory system below the L1 instruction cache: the
+// per-CPU data cache, the unified second-level cache (instructions + data,
+// the subject of Figure 14), and a minimal invalidation-based sharing model
+// that produces the data communication misses which dilute code-layout gains
+// on multiprocessor runs (Section 5).
 package mem
 
 import (
+	"codelayout/internal/cache"
 	"codelayout/internal/trace"
 )
 
@@ -60,8 +66,8 @@ type Stats struct {
 // System is the per-machine memory hierarchy below the instruction caches.
 type System struct {
 	cfg Config
-	l1d []*assoc
-	l2  []*assoc
+	l1d []*cache.Sets
+	l2  []*cache.Sets // metadata byte: the line's Kind
 	// writer tracks, per 64-byte data line, the CPU that last wrote it
 	// (+1; 0 = never written); share tracks which CPUs have fetched it
 	// since the last invalidation. Together they form a minimal
@@ -83,8 +89,8 @@ func NewSystem(cfg Config) *System {
 		share:  make(map[uint64]uint64, 1<<16),
 	}
 	for i := 0; i < cfg.CPUs; i++ {
-		s.l1d = append(s.l1d, newAssoc(cfg.L1DSizeBytes, cfg.L1DLineBytes, cfg.L1DAssoc))
-		s.l2 = append(s.l2, newAssoc(cfg.L2SizeBytes, cfg.L2LineBytes, cfg.L2Assoc))
+		s.l1d = append(s.l1d, cache.NewSets(cache.Config{SizeBytes: cfg.L1DSizeBytes, LineBytes: cfg.L1DLineBytes, Assoc: cfg.L1DAssoc}))
+		s.l2 = append(s.l2, cache.NewSets(cache.Config{SizeBytes: cfg.L2SizeBytes, LineBytes: cfg.L2LineBytes, Assoc: cfg.L2Assoc}))
 	}
 	return s
 }
@@ -103,15 +109,15 @@ func (s *System) Data(r trace.DataRef) {
 		cpu = len(s.l1d) - 1
 	}
 	l1 := s.l1d[cpu]
-	first := l1.lineOf(r.Addr)
-	last := l1.lineOf(r.Addr + uint64(r.Bytes) - 1)
+	first := l1.LineOf(r.Addr)
+	last := l1.LineOf(r.Addr + uint64(r.Bytes) - 1)
 	for ln := first; ln <= last; ln++ {
-		addr := ln << l1.lineShift
+		addr := l1.LineAddr(ln)
 		if r.Write {
 			s.write(cpu, addr)
 		}
 		s.Stats.L1DAccesses++
-		hit, _, _ := l1.access(ln, 0)
+		_, hit, _, _ := l1.Access(ln, 0)
 		if hit {
 			continue
 		}
@@ -145,11 +151,8 @@ func (s *System) write(cpu int, lineAddr uint64) {
 		if c == cpu || others&(1<<uint(c)) == 0 {
 			continue
 		}
-		inv := false
-		if s.l1d[c].invalidate(s.l1d[c].lineOf(lineAddr)) {
-			inv = true
-		}
-		if s.l2[c].invalidate(s.l2[c].lineOf(lineAddr)) {
+		inv := s.l1d[c].Invalidate(s.l1d[c].LineOf(lineAddr))
+		if s.l2[c].Invalidate(s.l2[c].LineOf(lineAddr)) {
 			inv = true
 		}
 		if inv {
@@ -160,9 +163,8 @@ func (s *System) write(cpu int, lineAddr uint64) {
 
 func (s *System) l2Access(cpu int, addr uint64, kind Kind) {
 	l2 := s.l2[cpu]
-	ln := l2.lineOf(addr)
 	s.Stats.L2Accesses[kind]++
-	hit, victimMeta, hadVictim := l2.access(ln, uint8(kind))
+	_, hit, victimMeta, hadVictim := l2.Access(l2.LineOf(addr), uint8(kind))
 	if hit {
 		return
 	}
